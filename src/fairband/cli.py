@@ -16,6 +16,7 @@ import dataclasses
 import json
 import math
 import sys
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional
@@ -28,6 +29,9 @@ from .errors import (ConfigurationError, ConvergenceError, FairbandError,
 from .simkernel import Trajectory, run_scenario
 
 CSV_HEADER = "time,app,service,bandwidth,deadline,response,matching,fairness"
+# one record per CSV row; the app id is the only non-float field
+_CSV_ROW = np.dtype([(name, object if name == "app" else float)
+                     for name in CSV_HEADER.split(",")])
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -46,31 +50,31 @@ def write_trajectory_csv(traj: Trajectory, path: Path) -> None:
 
 
 def read_trajectory_csv(path: Path) -> Trajectory:
-    cols: Dict[str, List] = {k: [] for k in CSV_HEADER.split(",")}
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != CSV_HEADER:
-            raise ConfigurationError(f"{path}: unexpected CSV header {header!r}")
-        for line in fh:
-            parts = line.rstrip("\n").split(",")
-            if len(parts) != 8:
-                raise ConfigurationError(f"{path}: malformed row {line!r}")
-            cols["time"].append(float(parts[0]))
-            cols["app"].append(parts[1])
-            for name, raw in zip(("service", "bandwidth", "deadline",
-                                  "response", "matching", "fairness"),
-                                 parts[2:]):
-                cols[name].append(float(raw))
-    return Trajectory(
-        time=np.array(cols["time"]),
-        app=np.array(cols["app"], dtype=object),
-        service=np.array(cols["service"]),
-        bandwidth=np.array(cols["bandwidth"]),
-        deadline=np.array(cols["deadline"]),
-        response=np.array(cols["response"]),
-        matching=np.array(cols["matching"]),
-        fairness=np.array(cols["fairness"]),
-    )
+    """Read a file written by write_trajectory_csv.
+
+    The rows stream through numpy's C reader, which parses `%.17g` text
+    exactly (inf, nan and -0 included) and requires all eight fields on
+    every row. A file that is not such a table, or has no rows, raises
+    ConfigurationError naming the file.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            header = fh.readline().strip()
+            if header != CSV_HEADER:
+                raise ConfigurationError(
+                    f"{path}: unexpected CSV header {header!r}")
+            with warnings.catch_warnings():
+                # an empty table is reported below, not as a warning
+                warnings.simplefilter("ignore", UserWarning)
+                # no comment character: app ids may contain '#'
+                rows = np.loadtxt(fh, dtype=_CSV_ROW, delimiter=",",
+                                  comments=None, ndmin=1)
+    except ValueError as exc:
+        raise ConfigurationError(
+            f"{path}: malformed trajectory CSV: {exc}") from exc
+    if rows.size == 0:
+        raise ConfigurationError(f"{path}: no data rows")
+    return Trajectory(**{name: rows[name].copy() for name in _CSV_ROW.names})
 
 
 @dataclass(frozen=True)
@@ -81,8 +85,10 @@ class OutputBundle:
 
 
 def _jsonable(x):
-    if isinstance(x, (np.floating, np.integer)):
-        return x.item()
+    """Plain JSON values; non-finite floats become strings ("inf", "nan") so
+    the output stays strict JSON."""
+    if isinstance(x, np.generic):
+        x = x.item()
     if isinstance(x, np.ndarray):
         return [_jsonable(v) for v in x]
     if isinstance(x, dict):

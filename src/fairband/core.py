@@ -177,6 +177,11 @@ class ApplicationSpec:
     initial_bandwidth: Optional[float] = None  # normalized; scenario-level default applies
 
     def __post_init__(self):
+        # ids are written unquoted into trajectory.csv rows
+        if not isinstance(self.id, str) or "," in self.id \
+                or not self.id.isprintable():
+            raise ConfigurationError(
+                f"app id {self.id!r} must be a printable string without ','")
         if not (0.0 < self.weight <= 1.0):
             raise ConfigurationError(f"app {self.id}: weight must be in (0, 1]")
         # synthetic execution time a*s + b stays positive at s = 0 when b > 0,

@@ -22,6 +22,9 @@ from .simkernel import MODES, MembershipEvent
 
 MS = 1000.0  # time-units per millisecond
 
+# libyaml's loader when PyYAML was built with it; both build the same document
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
 ALL_MODES = MODES + ("ode_reference",)
 
 
@@ -44,10 +47,12 @@ class Scenario:
         if self.mode not in ALL_MODES:
             raise ConfigurationError(
                 f"mode must be one of {', '.join(ALL_MODES)}, got {self.mode!r}")
-        if not (self.rm_period > 0.0):
-            raise ConfigurationError("rm_period must be positive")
-        if not (self.horizon > 0.0):
-            raise ConfigurationError("horizon must be positive")
+        if not (0.0 < self.rm_period < math.inf):
+            raise ConfigurationError(
+                f"rm_period must be positive and finite, got {self.rm_period}")
+        if not (0.0 < self.horizon < math.inf):
+            raise ConfigurationError(
+                f"horizon must be positive and finite, got {self.horizon}")
         if self.sample_stride < 1:
             raise ConfigurationError("sample_stride must be >= 1")
         if not self.apps:
@@ -161,7 +166,7 @@ def _parse_app(d: Dict, path: str) -> ApplicationSpec:
     if not isinstance(d, dict):
         raise ConfigurationError(f"{path} must be a mapping")
     try:
-        return ApplicationSpec(
+        fields = dict(
             id=str(_want(d, "id", path)),
             weight=float(_want(d, "weight", path)),
             min_service=float(_want(d, "min_service", path)),
@@ -173,9 +178,11 @@ def _parse_app(d: Dict, path: str) -> ApplicationSpec:
             initial_bandwidth=None if d.get("initial_bandwidth") is None
             else float(d["initial_bandwidth"]),
         )
-    except ConfigurationError:
-        raise
     except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"{path}: {exc}") from exc
+    try:
+        return ApplicationSpec(**fields)
+    except ConfigurationError as exc:
         raise ConfigurationError(f"{path}: {exc}") from exc
 
 
@@ -296,7 +303,7 @@ def parse_scenario(source: str) -> Scenario:
             f"{source!r} is neither a preset ({', '.join(PRESETS)}) "
             "nor a readable file") from exc
     try:
-        doc = yaml.safe_load(text)
+        doc = yaml.load(text, Loader=_YAML_LOADER)
     except yaml.YAMLError as exc:
         raise ConfigurationError(f"{source}: malformed config: {exc}") from exc
     return scenario_from_dict(doc)
@@ -305,7 +312,7 @@ def parse_scenario(source: str) -> Scenario:
 def parse_scenario_text(text: str) -> Scenario:
     """Parse a scenario from config text (round-trip partner of emit)."""
     try:
-        doc = yaml.safe_load(text)
+        doc = yaml.load(text, Loader=_YAML_LOADER)
     except yaml.YAMLError as exc:
         raise ConfigurationError(f"malformed config: {exc}") from exc
     return scenario_from_dict(doc)

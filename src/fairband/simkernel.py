@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -169,20 +170,33 @@ class Trajectory:
     def __len__(self) -> int:
         return len(self.time)
 
+    @cached_property
+    def _groups(self) -> Tuple[List[str], np.ndarray, np.ndarray]:
+        """Rows grouped by app in one pass over the app column: the ids in
+        first-appearance order, a row order that lists each app's rows
+        together (the stable sort keeps their row order, which is time
+        order) and the end of each app's block in that order. The columns
+        are not reassigned after construction, so this is computed once."""
+        index: Dict[str, int] = {}
+        codes = np.fromiter((index.setdefault(a, len(index)) for a in self.app),
+                            dtype=np.intp, count=len(self.app))
+        order = np.argsort(codes, kind="stable")
+        ends = np.cumsum(np.bincount(codes, minlength=len(index)))
+        return [str(a) for a in index], order, ends
+
     def app_ids(self) -> List[str]:
-        seen: Dict[str, None] = {}
-        for a in self.app:
-            seen.setdefault(str(a), None)
-        return list(seen)
+        """Distinct app ids in order of first appearance."""
+        return list(self._groups[0])
 
     def per_app(self, fieldname: str) -> Dict[str, Tuple[np.ndarray, np.ndarray]]:
-        """Split a column into per-app (times, values) pairs."""
-        col = getattr(self, fieldname)
-        out = {}
-        for aid in self.app_ids():
-            mask = self.app == aid
-            out[aid] = (self.time[mask], col[mask])
-        return out
+        """Split a column into per-app (times, values) pairs in row order; an
+        app that leaves and re-joins keeps one series."""
+        ids, order, ends = self._groups
+        times = self.time[order]
+        values = getattr(self, fieldname)[order]
+        starts = np.concatenate(([0], ends[:-1]))
+        return {aid: (times[a:b], values[a:b])
+                for aid, a, b in zip(ids, starts, ends)}
 
     @property
     def samples(self) -> List["Sample"]:

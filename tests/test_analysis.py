@@ -35,6 +35,31 @@ def _fake_trajectory(times, per_app_bandwidths, fairness=None):
                       else np.array(fairness, float))
 
 
+class TestPerApp:
+    def test_matches_mask_per_app_with_rejoin(self):
+        # b leaves after t=1 and re-joins at t=3; row order within an
+        # instant varies, so ids interleave
+        traj = _fake_trajectory(
+            [0.0, 1.0, 2.0, 3.0, 4.0],
+            [{"b": 0.11, "a": 0.12},
+             {"a": 0.21, "b": 0.22, "c": 0.23},
+             {"c": 0.31, "a": 0.32},
+             {"b": 0.41, "c": 0.42, "a": 0.43},
+             {"c": 0.51, "b": 0.52}])
+        # the definition the one-pass grouping replaced: one mask per app
+        expected = {}
+        for aid in dict.fromkeys(traj.app):
+            mask = traj.app == aid
+            expected[aid] = (traj.time[mask], traj.bandwidth[mask])
+        got = traj.per_app("bandwidth")
+        assert list(got) == traj.app_ids() == ["b", "a", "c"]
+        for aid, (times, values) in expected.items():
+            assert np.array_equal(got[aid][0], times)
+            assert np.array_equal(got[aid][1], values)
+            assert np.all(np.diff(got[aid][0]) > 0.0)
+        assert list(got["b"][0]) == [0.0, 1.0, 3.0, 4.0]
+
+
 class TestInterpolation:
     def test_single_sample_constant(self):
         p = _path([0.0], [3.5])

@@ -1,15 +1,24 @@
 import dataclasses
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 from fairband import (ConfigurationError, MembershipEvent, Scenario,
                       parse_scenario, parse_scenario_text, run_scenario)
 from fairband.cli import (EXIT_INVARIANT, EXIT_IO, EXIT_OK, EXIT_VALIDATION,
-                          main, read_trajectory_csv, write_trajectory_csv)
-from fairband.scenario import MS, emit
+                          _jsonable, main, read_trajectory_csv,
+                          write_trajectory_csv)
+from fairband.scenario import MS, emit, scenario_from_dict
+from fairband.simkernel import Trajectory
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+# ids the CSV cannot carry: a field separator, or not printable
+BAD_IDS = ["a,b", "a\nb", "a\rb", "a\x85b", "a\u2028b"]
 
 
 class TestPresets:
@@ -104,6 +113,51 @@ apps:
         with pytest.raises(ConfigurationError):
             parse_scenario("no-such-file.yaml")
 
+    def test_readme_example_runs(self, tmp_path):
+        block = re.search(r"```yaml\n(.*?)```", README.read_text(), re.S)
+        cfg = tmp_path / "readme.yaml"
+        cfg.write_text(block.group(1))
+        s = parse_scenario(str(cfg))
+        assert [e.action for e in s.events] == ["leave", "join"]
+        assert s.events[0].app_id == "app1"
+        assert s.events[1].spec.id == "app6"
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) \
+            == EXIT_OK
+
+    @pytest.mark.parametrize("app_id", BAD_IDS)
+    def test_app_id_csv_cannot_carry_rejected(self, app_id):
+        doc = yaml.safe_load(emit(parse_scenario("sync5")))
+        doc["apps"][2]["id"] = app_id
+        with pytest.raises(ConfigurationError, match=r"apps\[2\]"):
+            scenario_from_dict(doc)
+        join = dict(doc["apps"][0], id=app_id)
+        doc = yaml.safe_load(emit(parse_scenario("sync5")))
+        doc["events"] = [{"time": 2000.0, "action": "join", "app": join}]
+        with pytest.raises(ConfigurationError, match=r"events\[0\]\.app"):
+            scenario_from_dict(doc)
+
+    @pytest.mark.parametrize("key", ["horizon", "rm_period"])
+    @pytest.mark.parametrize("value", [".inf", ".nan"])
+    def test_non_finite_clock_rejected(self, key, value):
+        text = emit(parse_scenario("sync5"))
+        text = re.sub(rf"^{key}: .*$", f"{key}: {value}", text, flags=re.M)
+        with pytest.raises(ConfigurationError, match=key):
+            parse_scenario_text(text)
+
+    @pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"),
+                        reason="PyYAML built without libyaml")
+    def test_libyaml_and_python_loaders_agree(self):
+        base = parse_scenario("sync5")
+        many = dataclasses.replace(base, apps=tuple(
+            dataclasses.replace(base.apps[i % 5], id=f"app{i}",
+                                weight=0.05 + 0.9 * i / 300)
+            for i in range(300)))
+        for s in (parse_scenario("sync5"), parse_scenario("async3"), many):
+            text = emit(s)
+            assert yaml.load(text, Loader=yaml.CSafeLoader) == \
+                yaml.load(text, Loader=yaml.SafeLoader)
+            assert parse_scenario_text(text) == s
+
 
 class TestTrajectoryCsv:
     def test_round_trip_exact(self, tmp_path):
@@ -136,6 +190,41 @@ class TestTrajectoryCsv:
         back = read_trajectory_csv(path)
         assert math.isinf(back.response[0])
         assert back.matching[0] == -1.0
+
+    @pytest.mark.parametrize("rows", [1, 9])
+    def test_round_trip_bit_patterns(self, tmp_path, rows):
+        special = np.array([-0.0, 0.0, math.inf, -math.inf, math.nan,
+                            5e-324, 2.2250738585072009e-308, 1.0 / 3.0,
+                            -1.7976931348623157e308])
+        cols = {f: np.roll(special, k)[:rows] for k, f in enumerate(
+            ("time", "service", "bandwidth", "deadline", "response",
+             "matching", "fairness"))}
+        ids = np.array(["x", "a b", "#c", "d#", "x", "\u00e9", "x", "y",
+                        "z"][:rows], dtype=object)
+        traj = Trajectory(app=ids, **cols)
+        path = tmp_path / "t.csv"
+        write_trajectory_csv(traj, path)
+        back = read_trajectory_csv(path)
+        for f, col in cols.items():
+            got = getattr(back, f)
+            assert got.dtype == np.float64 and got.flags.c_contiguous, f
+            assert np.array_equal(got.view(np.int64), col.view(np.int64)), f
+        assert back.app.dtype == object and list(back.app) == list(ids)
+
+    @pytest.mark.parametrize("body, what", [
+        ("", "no data rows"),
+        ("0,x,1,2,3,4,5,6\n0,y,1,2,3,4,5\n", "7 were found"),
+        ("0,x,1,2,3,4,5,6\n0,y,1,2,3,4,5,6,7\n", "9 were found"),
+        ("0,x,1,abc,3,4,5,6\n", "abc"),
+    ])
+    def test_malformed_file_names_path(self, tmp_path, body, what):
+        path = tmp_path / "t.csv"
+        path.write_text(
+            "time,app,service,bandwidth,deadline,response,matching,fairness\n"
+            + body)
+        with pytest.raises(ConfigurationError) as info:
+            read_trajectory_csv(path)
+        assert str(path) in str(info.value) and what in str(info.value)
 
 
 class TestCli:
@@ -196,6 +285,57 @@ apps:
         report = json.loads(capsys.readouterr().out)
         assert all(v == 0.0 for v in report["fields"]["service"].values())
         assert report["within_bound"]
+
+    @pytest.mark.parametrize("body", [
+        "",                                    # header only
+        "0,app1,10,0.2,1000,not-a-number,0,0\n",
+        "0,app1,10,0.2,1000,1000,0\n",          # seven fields
+    ])
+    def test_compare_unreadable_trajectory_exits_2(self, tmp_path, capsys,
+                                                   body):
+        a, b = tmp_path / "a", tmp_path / "b"
+        for d in (a, b):
+            assert main(["run", "sync5", "--horizon", str(5.0 * MS),
+                         "--out", str(d)]) == EXIT_OK
+        bad = b / "trajectory.csv"
+        bad.write_text(bad.read_text().splitlines()[0] + "\n" + body)
+        capsys.readouterr()
+        assert main(["compare", str(a), str(b)]) == EXIT_VALIDATION
+        assert str(bad) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("app_id", BAD_IDS)
+    def test_run_rejects_app_id_csv_cannot_carry(self, tmp_path, capsys,
+                                                 app_id):
+        doc = yaml.safe_load(emit(parse_scenario("sync5")))
+        doc["apps"][3]["id"] = app_id
+        cfg = tmp_path / "s.yaml"
+        cfg.write_text(yaml.safe_dump(doc))
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) \
+            == EXIT_VALIDATION
+        assert "apps[3]" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_run_rejects_infinite_horizon(self, tmp_path, capsys):
+        assert main(["run", "async3", "--horizon", "inf",
+                     "--out", str(tmp_path / "out")]) == EXIT_VALIDATION
+        assert "horizon" in capsys.readouterr().err
+
+    def test_run_rejects_malformed_yaml(self, tmp_path, capsys):
+        cfg = tmp_path / "s.yaml"
+        cfg.write_text("rm_period: [1.0\napps: {\n")
+        assert main(["run", str(cfg)]) == EXIT_VALIDATION
+        assert "malformed config" in capsys.readouterr().err
+
+    def test_json_output_is_strict(self):
+        def no_constants(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+        text = json.dumps(_jsonable({
+            "inf": np.float64(math.inf), "nan": [np.float32(math.nan)],
+            "neg": np.array([-math.inf, 1.5]), "n": np.int64(3),
+            "flag": np.bool_(True), "py": math.inf}))
+        assert json.loads(text, parse_constant=no_constants) == {
+            "inf": "inf", "nan": ["nan"], "neg": ["-inf", 1.5], "n": 3,
+            "flag": True, "py": "inf"}
 
     def test_bounds_verb(self, capsys):
         assert main(["bounds", "async3"]) == EXIT_OK
