@@ -8,25 +8,22 @@ checkers for every derived guarantee.
 """
 
 from .core import (ApplicationSpec, JobModel, PlatformSpec, SystemState,
-                   classify_matching, fairness_measure, is_fair_allocation,
-                   is_feasible, make_state, matching_from_measurement,
-                   neg_part, nominal_matching)
-from .adaptation import (RmUpdateResult, app_step_async, app_step_sync,
-                         observed_fairness, rm_step)
-from .simkernel import (AsyncTimeline, MembershipEvent, Sample, Trajectory,
-                        apply_membership_event, build_timeline, measure_job,
-                        job_execution_requirement, run_scenario,
-                        timeline_indices)
+                   classify_matching, fairness_vector, is_fair_allocation,
+                   is_feasible, make_state, nominal_matching)
+from .adaptation import RmUpdateResult, rm_step
+from .simkernel import (Coefficients, MembershipEvent, Trajectory,
+                        apply_membership_event, compile_apps, kernel_step,
+                        measure_job, run_scenario, service_step)
 from .reference import (BalanceThresholds, StationaryPoint, TheoreticalBounds,
                         asymptotic_fair_share, balance_thresholds,
-                        compute_bounds, epsilon_star_bound, equivalence_bound,
-                        integrate_ode, lyapunov_value, solve_stationary_point,
+                        compute_bounds, equivalence_bound, integrate_ode,
+                        lyapunov_value, solve_stationary_point,
                         starvation_step_threshold)
 from .analysis import (InterpolatedPath, InvariantReport, convergence_report,
                        interpolate, sup_deviation, sup_deviation_per_app,
                        sweep_invariants)
 from .scenario import PRESETS, Scenario, emit, parse_scenario, parse_scenario_text
 from .errors import (AdmissionError, ConfigurationError, ConvergenceError,
-                     FairbandError, InvariantViolation, MeasurementError)
+                     FairbandError, InvariantViolation)
 
 __version__ = "1.0.0"

@@ -1,15 +1,15 @@
-"""The two projected recursions: bandwidth adaptation and service adaptation."""
+"""The bandwidth recursion's projection, and the manager step built on it."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Set
+from typing import Sequence, Set, Tuple
 
 import numpy as np
 
 from .core import (SUM_TOL, ApplicationSpec, PlatformSpec, SystemState,
                    fairness_vector, is_feasible)
-from .errors import ConfigurationError, InvariantViolation
+from .errors import InvariantViolation
 
 
 @dataclass(frozen=True)
@@ -17,24 +17,6 @@ class RmUpdateResult:
     new_bandwidths: np.ndarray
     observed_fairness: np.ndarray
     projections_hit: Set[int]
-
-
-def observed_fairness(index: int,
-                      matchings: Sequence[float],
-                      bandwidths: Sequence[float],
-                      weights: Sequence[float]) -> float:
-    """Fairness signal evaluated on measured matchings.
-
-    Same formula as the nominal fairness measure, applied to f instead of
-    the model form.
-    """
-    f = np.asarray(matchings, dtype=float)
-    if np.any(f < -1.0 - SUM_TOL):
-        raise ConfigurationError("measured matchings must be >= -1")
-    n = f.shape[0]
-    if not 0 <= index < n:
-        raise ConfigurationError(f"app index {index} out of range for {n} apps")
-    return float(fairness_vector(f, bandwidths, weights)[index])
 
 
 def _remove_excess(vnew: np.ndarray, excess: float, clipped: np.ndarray) -> np.ndarray:
@@ -54,6 +36,28 @@ def _remove_excess(vnew: np.ndarray, excess: float, clipped: np.ndarray) -> np.n
     return v
 
 
+def project_bandwidth(raw: np.ndarray, upper: float
+                      ) -> Tuple[np.ndarray, np.ndarray]:
+    """Project unconstrained bandwidths onto the feasible set; the last axis
+    is the app axis.
+
+    Each entry is clipped to [0, upper]. Where a row's sum then exceeds 1 the
+    excess is removed, clipped apps first, then proportionally. Returns the
+    projected bandwidths and the mask of apps the projection moved.
+    """
+    box = np.clip(raw, 0.0, upper)
+    clipped = box != raw
+    total = box.sum(axis=-1)
+    over = total > 1.0 + SUM_TOL
+    if not over.any():
+        return box, clipped
+    v = box.copy()
+    rows, hit = v.reshape(-1, v.shape[-1]), clipped.reshape(-1, v.shape[-1])
+    for r in np.flatnonzero(over):
+        rows[r] = _remove_excess(rows[r], total.flat[r] - 1.0, hit[r])
+    return v, clipped | (v != box)
+
+
 def rm_step(state: SystemState,
             matchings: Sequence[float],
             specs: Sequence[ApplicationSpec],
@@ -61,53 +65,15 @@ def rm_step(state: SystemState,
     """One bandwidth-adaptation step.
 
     Each normalized bandwidth moves by step * F_i and is projected onto
-    [0, min(1/cores, max_total_bandwidth/cores)]. If the projected sum still
-    exceeds 1 the excess is removed (clipped apps first, then proportionally)
-    so the allocation stays feasible.
+    [0, max_total_bandwidth/cores], with any sum above 1 removed (see
+    project_bandwidth).
     """
     vbar = state.bandwidths
     kappa = platform.cores
     if not is_feasible(kappa * vbar, kappa):
         raise InvariantViolation("input state is not a feasible allocation")
     lam = np.array([a.weight for a in specs], dtype=float)
-    f = np.asarray(matchings, dtype=float)
-    F = fairness_vector(f, vbar, lam)
-    upper = platform.max_total_bandwidth / kappa
-    raw = vbar + platform.step * F
-    vnew = np.clip(raw, 0.0, upper)
-    clipped = (raw < 0.0) | (raw > upper)
-    total = vnew.sum()
-    if total > 1.0 + SUM_TOL:
-        vnew = _remove_excess(vnew, total - 1.0, clipped)
-        clipped = clipped | (vnew != np.clip(raw, 0.0, upper))
-    hit = set(int(i) for i in np.flatnonzero(clipped))
-    return RmUpdateResult(vnew, F, hit)
-
-
-def _project(x: float, lower: float, upper: Optional[float]) -> float:
-    if x < lower:
-        return lower
-    if upper is not None and x > upper:
-        return upper
-    return x
-
-
-def app_step_sync(service: float, observation: float, step: float,
-                  domain) -> float:
-    """One service-level step: project service + step * observation onto the
-    domain [lower, upper] (upper may be None for an unbounded domain)."""
-    lower, upper = domain
-    return _project(service + step * observation, lower, upper)
-
-
-def app_step_async(service: float, raw_observation: float,
-                   rm_updates_elapsed: int, step: float, domain) -> float:
-    """Compensated service-level step for an app updating slower than the
-    resource manager: the raw observation is scaled by the number of manager
-    updates elapsed since the app's previous update."""
-    if rm_updates_elapsed < 1:
-        raise ConfigurationError(
-            f"rm_updates_elapsed must be >= 1, got {rm_updates_elapsed}")
-    lower, upper = domain
-    return _project(service + step * rm_updates_elapsed * raw_observation,
-                    lower, upper)
+    F = fairness_vector(matchings, vbar, lam)
+    vnew, clipped = project_bandwidth(vbar + platform.step * F,
+                                      platform.max_total_bandwidth / kappa)
+    return RmUpdateResult(vnew, F, set(int(i) for i in np.flatnonzero(clipped)))

@@ -159,13 +159,18 @@ def compare_bundles(dir_a: Path, dir_b: Path) -> Dict:
     asynchronous-equivalence bound of the first bundle."""
     ta = read_trajectory_csv(dir_a / "trajectory.csv")
     tb = read_trajectory_csv(dir_b / "trajectory.csv")
-    with open(dir_a / "summary.json", "r", encoding="utf-8") as fh:
-        sa = json.load(fh)
+    summary_path = dir_a / "summary.json"
+    with open(summary_path, "r", encoding="utf-8") as fh:
+        try:
+            sa = json.load(fh)
+            step = sa["scenario"]["platform"]["step"]
+            ell, n_bar = sa["bounds"]["ell"], int(sa["bounds"]["n_bar"])
+        except (ValueError, KeyError, TypeError) as exc:
+            raise ConfigurationError(
+                f"{summary_path}: unreadable run summary: {exc!r}") from exc
     horizon = float(min(ta.time[-1], tb.time[-1]))
     report: Dict = {"horizon": horizon, "fields": {}}
-    b = sa["bounds"]
-    lo, hi = reference.equivalence_bound(sa["scenario"]["platform"]["step"],
-                                         b["ell"], int(b["n_bar"]))
+    lo, hi = reference.equivalence_bound(step, ell, n_bar)
     bound = lo + hi
     ok = True
     for fieldname in ("service", "bandwidth"):

@@ -1,4 +1,4 @@
-"""Scalar formula layer: matching functions, fairness measure, feasibility.
+"""Formula layer: matching functions, fairness measure, feasibility, models.
 
 Everything here is stateless. Vectors are plain sequences or numpy arrays;
 no function mutates its arguments.
@@ -6,13 +6,12 @@ no function mutates its arguments.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import ConfigurationError, MeasurementError
+from .errors import ConfigurationError
 
 SCARCE = "scarce"
 PERFECT = "perfect"
@@ -20,22 +19,6 @@ ABUNDANT = "abundant"
 
 # absolute tolerance for bookkeeping identities (bandwidth sums etc.)
 SUM_TOL = 1e-12
-
-
-def neg_part(x: float) -> float:
-    """min(x, 0). Rejects NaN and infinities."""
-    if not math.isfinite(x):
-        raise ConfigurationError(f"neg_part requires a finite argument, got {x!r}")
-    return x if x <= 0.0 else 0.0
-
-
-def matching_from_measurement(deadline: float, response: float) -> float:
-    """Performance signal D/R - 1 from a measured (deadline, response) pair."""
-    if not (response > 0.0) or not math.isfinite(response):
-        raise MeasurementError(f"response time must be positive, got {response!r}")
-    if deadline < 0.0 or not math.isfinite(deadline):
-        raise MeasurementError(f"deadline must be non-negative, got {deadline!r}")
-    return deadline / response - 1.0
 
 
 def nominal_matching(beta: float, service: float, bandwidth: float) -> float:
@@ -60,43 +43,20 @@ def classify_matching(f: float, delta: float) -> str:
     return PERFECT
 
 
-def fairness_measure(index: int,
-                     matchings: Sequence[float],
-                     bandwidths: Sequence[float],
-                     weights: Sequence[float],
-                     cores: int = 1) -> float:
-    """Weighted imbalance for app `index`.
-
-    Phi_i = -(1 - vbar_i) * lam_i * min(phi_i, 0)
-            + vbar_i * sum_{j != i} lam_j * min(phi_j, 0)
-
-    `bandwidths` are normalized (vbar = v / cores); each must lie in
-    [0, 1/cores].
-    """
-    phi = np.asarray(matchings, dtype=float)
-    vbar = np.asarray(bandwidths, dtype=float)
-    lam = np.asarray(weights, dtype=float)
-    n = phi.shape[0]
-    if vbar.shape[0] != n or lam.shape[0] != n:
-        raise ConfigurationError("matchings, bandwidths and weights must have equal length")
-    if not 0 <= index < n:
-        raise ConfigurationError(f"app index {index} out of range for {n} apps")
-    cap = 1.0 / cores
-    if np.any(vbar < -SUM_TOL) or np.any(vbar > cap + SUM_TOL):
-        raise ConfigurationError("normalized bandwidths must lie in [0, 1/cores]")
-    neg = np.minimum(phi, 0.0)
-    others = float(lam @ neg) - lam[index] * neg[index]
-    return float(-(1.0 - vbar[index]) * lam[index] * neg[index] + vbar[index] * others)
-
-
 def fairness_vector(matchings, bandwidths, weights, cores: int = 1) -> np.ndarray:
-    """All fairness measures at once; same formula as fairness_measure."""
+    """Weighted imbalance of every app; the last axis is the app axis.
+
+    F_i = -(1 - vbar_i) * lam_i * min(phi_i, 0)
+          + vbar_i * sum_{j != i} lam_j * min(phi_j, 0)
+
+    `bandwidths` are normalized (vbar = v / cores), each in [0, 1/cores].
+    """
     phi = np.asarray(matchings, dtype=float)
     vbar = np.asarray(bandwidths, dtype=float)
     lam = np.asarray(weights, dtype=float)
     neg = np.minimum(phi, 0.0)
     w = lam * neg
-    total = w.sum()
+    total = w.sum(axis=-1, keepdims=True)
     return -(1.0 - vbar) * w + vbar * (total - w)
 
 
@@ -162,6 +122,17 @@ class JobModel:
                     "synthetic model with a = 0 has no nominal matching coefficient")
             return self.deadline / self.a
         raise ConfigurationError("control model has no derivable beta")
+
+    @property
+    def coefficients(self) -> Tuple[float, float, float, float]:
+        """(c1, c0, d0, d1): one job at service level s has execution time
+        c1*s + c0 and deadline d0, or d1/s when d1 > 0."""
+        if self.kind == "synthetic":
+            return self.a, self.b, self.deadline, 0.0
+        if self.kind == "multimedia":
+            return self.alpha, 0.0, self.deadline, 0.0
+        # alpha/beta keeps D*v/C == beta*v/s - 1 + 1
+        return 0.0, self.alpha / self.beta, 0.0, self.alpha
 
 
 @dataclass(frozen=True)

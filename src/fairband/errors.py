@@ -9,10 +9,6 @@ class ConfigurationError(FairbandError):
     """A scenario, spec or parameter fails validation before any run starts."""
 
 
-class MeasurementError(FairbandError):
-    """A performance measurement is ill-defined (non-positive response, NaN...)."""
-
-
 class InvariantViolation(FairbandError):
     """A runtime invariant was breached mid-run.
 

@@ -8,10 +8,11 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
+from .adaptation import project_bandwidth
 from .core import (SUM_TOL, ApplicationSpec, PlatformSpec, SystemState,
                    fairness_vector, nominal_matching)
 from .errors import ConfigurationError, ConvergenceError
-from .simkernel import Trajectory, job_deadline, job_execution_requirement
+from .simkernel import VALUES, Trajectory, compile_apps, project_service
 
 
 @dataclass(frozen=True)
@@ -53,11 +54,6 @@ def compute_bounds(specs: Sequence[ApplicationSpec], platform: PlatformSpec,
         ell=ell,
         n_bar=max(1, n_bar),
     )
-
-
-def epsilon_star_bound(bounds: TheoreticalBounds, cores: int) -> float:
-    """Coarse step-size guard; the starvation step threshold lies below it."""
-    return 1.0 / ((bounds.L + 1.0) * cores)
 
 
 def starvation_step_threshold(specs: Sequence[ApplicationSpec],
@@ -181,6 +177,9 @@ def balance_thresholds(zeta: float, specs: Sequence[ApplicationSpec],
     """Population sizes beyond which every bandwidth is driven into [0, zeta]."""
     if not (0.0 < zeta < 1.0):
         raise ConfigurationError("zeta must lie in (0, 1)")
+    if any(a.min_service <= 0.0 for a in specs):
+        raise ConfigurationError(
+            "balance thresholds require min_service > 0 for every app")
     kappa = platform.cores
     gamma = max(a.model.effective_beta * kappa * zeta / a.min_service - 1.0
                 for a in specs)
@@ -233,64 +232,33 @@ def integrate_ode(initial: SystemState, specs: Sequence[ApplicationSpec],
         raise ConfigurationError("tau_step must be positive")
     period = rm_period if rm_period is not None else 1.0
     steps = int(round(horizon / period)) + 1
+    c = compile_apps(specs, platform, "sync")
+    c1, c0, d0, d1 = c.job
     kappa = platform.cores
-    lam = np.array([a.weight for a in specs], dtype=float)
-    lo = np.array([a.min_service for a in specs], dtype=float)
-    hi = np.array([math.inf if a.max_service is None else a.max_service
-                   for a in specs], dtype=float)
-    upper = platform.max_total_bandwidth / kappa
-    n = len(specs)
-    ids = np.array([a.id for a in specs], dtype=object)
-
     s = initial.services.copy()
     v = initial.bandwidths.copy()
-    T = np.empty(steps * n)
-    A = np.empty(steps * n, dtype=object)
-    out = {k: np.empty(steps * n) for k in ("service", "bandwidth", "deadline",
-                                            "response", "matching", "fairness")}
-    for k in range(steps):
-        t = k * period
-        D = np.array([job_deadline(a.model, s[i]) for i, a in enumerate(specs)])
-        if k == 0:
-            # same neutral first step as the discrete engine
-            R = D.copy()
-            phi = np.zeros(n)
-        else:
-            C = np.array([job_execution_requirement(a.model, s[i])
-                          for i, a in enumerate(specs)])
-            vu = kappa * v
-            R = np.where(vu > 0.0, C / np.where(vu > 0.0, vu, 1.0), math.inf)
-            phi = np.where(np.isfinite(R), D / R - 1.0, -1.0)
-        Phi = fairness_vector(phi, v, lam)
-        sl = slice(k * n, (k + 1) * n)
-        T[sl] = t
-        A[sl] = ids
-        out["service"][sl] = s
-        out["bandwidth"][sl] = v
-        out["deadline"][sl] = D
-        out["response"][sl] = R
-        out["matching"][sl] = phi
-        out["fairness"][sl] = Phi
-        if k == steps - 1:
-            break
-        raw = v + tau_step * Phi
-        vnew = np.clip(raw, 0.0, upper)
-        total = vnew.sum()
-        if total > 1.0 + SUM_TOL:
-            excess = total - 1.0
-            for i in np.flatnonzero((raw < 0.0) | (raw > upper)):
-                if excess <= SUM_TOL:
-                    break
-                take = min(vnew[i], excess)
-                vnew[i] -= take
-                excess -= take
-            if excess > SUM_TOL and vnew.sum() > 0.0:
-                vnew *= (vnew.sum() - excess) / vnew.sum()
-        v = vnew
-        s = np.minimum(hi, np.maximum(lo, s + tau_step * phi))
-
-    return Trajectory(time=T, app=A, service=out["service"],
-                      bandwidth=out["bandwidth"], deadline=out["deadline"],
-                      response=out["response"], matching=out["matching"],
-                      fairness=out["fairness"], events=[],
-                      config=dict(config or {}))
+    rec = np.empty((len(VALUES), steps, len(specs)))
+    # a synthetic app floored at s = 0 divides 0 by 0 in the unselected branch
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for k in range(steps):
+            D = np.where(d1 > 0.0, d1 / s, d0)
+            if k == 0:
+                # same neutral first step as the discrete engine
+                R = D.copy()
+                phi = np.zeros(len(specs))
+            else:
+                C = c1 * s + c0
+                vu = kappa * v
+                R = np.where(vu > 0.0, C / np.where(vu > 0.0, vu, 1.0),
+                             math.inf)
+                phi = np.where(np.isfinite(R), D / R - 1.0, -1.0)
+            Phi = fairness_vector(phi, v, c.lam)
+            for col, x in zip(rec, (s, v, D, R, phi, Phi)):
+                col[k] = x
+            if k == steps - 1:
+                break
+            v, _ = project_bandwidth(v + tau_step * Phi, c.upper)
+            s = project_service(c, s + tau_step * phi)
+    return Trajectory.from_records(
+        [(np.arange(steps) * period, [a.id for a in specs], rec)], [],
+        dict(config or {}))

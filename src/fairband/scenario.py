@@ -55,6 +55,11 @@ class Scenario:
                 f"horizon must be positive and finite, got {self.horizon}")
         if self.sample_stride < 1:
             raise ConfigurationError("sample_stride must be >= 1")
+        # the Euler oracle records every instant of a fixed app set
+        if self.mode == "ode_reference" and self.events:
+            raise ConfigurationError("events are not supported in mode ode_reference")
+        if self.mode == "ode_reference" and self.sample_stride != 1:
+            raise ConfigurationError("sample_stride must be 1 in mode ode_reference")
         if not self.apps:
             raise ConfigurationError("a scenario needs at least one app")
         ids = [a.id for a in self.apps]

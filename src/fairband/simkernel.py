@@ -12,126 +12,137 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .adaptation import rm_step
+from .adaptation import project_bandwidth
 from .core import (SUM_TOL, ApplicationSpec, JobModel, PlatformSpec,
-                   SystemState, fairness_vector, make_state)
-from .errors import (AdmissionError, ConfigurationError, InvariantViolation,
-                     MeasurementError)
+                   SystemState, fairness_vector, is_feasible, make_state)
+from .errors import AdmissionError, ConfigurationError, InvariantViolation
 
 
-def job_execution_requirement(model: JobModel, service: float) -> float:
-    """Execution time of one job at the given service level."""
-    if model.kind == "synthetic":
-        return model.a * service + model.b
-    if model.kind == "multimedia":
-        return model.alpha * service
-    if model.kind == "control":
-        # constant execution time; alpha/beta keeps D*v/C == beta*v/s - 1 + 1
-        return model.alpha / model.beta
-    raise ConfigurationError(f"unknown job model kind {model.kind!r}")
+MODES = ("sync", "async_compensated", "async_uncompensated")
 
 
-def job_deadline(model: JobModel, service: float) -> float:
-    """Deadline of one job; constant except for the control kind, where it
-    shrinks with the sampling rate (alpha / s)."""
-    if model.kind == "control":
-        if not (service > 0.0):
-            raise ConfigurationError("control model requires service > 0")
-        return model.alpha / service
-    return model.deadline
+def measure(job, service, bandwidth_unnormalized, cold=False):
+    """Run one fluid job per app: returns (deadline, response, matching).
+
+    `job` holds the coefficients (c1, c0, d0, d1) of JobModel.coefficients,
+    as scalars or arrays whose last axis is the app axis. Response time is
+    C / v; zero bandwidth gives an infinite response and the limiting
+    matching value -1. A cold app, with no job completed yet, reads the
+    neutral (D, D, 0).
+    """
+    c1, c0, d0, d1 = job
+    s, vu = service, bandwidth_unnormalized
+    # a synthetic app floored at s = 0 divides 0 by 0 in the unselected
+    # branch; a response that overflows is the zero-bandwidth limit
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        D = np.where(d1 > 0.0, d1 / s, d0)
+        R = np.where(cold, D, np.where(vu > 0.0, (c1 * s + c0) / vu, np.inf))
+    return D, R, D / R - 1.0
 
 
 def measure_job(model: JobModel, service: float,
                 bandwidth_unnormalized: float) -> Tuple[float, float, float]:
-    """Run one fluid job: returns (deadline, response, matching).
-
-    Response time is C / v. Zero bandwidth gives an infinite response and the
-    limiting matching value -1.
-    """
-    C = job_execution_requirement(model, service)
-    D = job_deadline(model, service)
-    if bandwidth_unnormalized <= 0.0:
-        return D, math.inf, -1.0
-    R = C / bandwidth_unnormalized
-    return D, R, D / R - 1.0
+    """measure() for a single app, as plain floats."""
+    # numpy scalars: a zero divisor gives inf or nan, not ZeroDivisionError
+    D, R, f = measure(model.coefficients, np.float64(service),
+                      np.float64(bandwidth_unnormalized))
+    return float(D), float(R), float(f)
 
 
 @dataclass(frozen=True)
-class AsyncTimeline:
-    """Update-instant bookkeeping: manager grid, per-app grids, design bound."""
-    rm_instants: np.ndarray
-    app_instants: List[np.ndarray]
-    n_bar: int
+class Coefficients:
+    """What the step kernel needs to know about the live apps of one
+    membership epoch, compiled to arrays whose last axis is the app axis
+    (a scalar broadcasts as the same value for every app).
 
-    @property
-    def horizon(self) -> float:
-        return float(self.rm_instants[-1])
-
-
-def build_timeline(rm_period: float, app_periods: Sequence[float],
-                   horizon: float, n_bar: Optional[int] = None) -> AsyncTimeline:
-    """Lay out manager and app update grids over [0, horizon].
-
-    Every app period must be at least the manager period (so at least one
-    manager update falls in each app interval) and at most n_bar manager
-    periods.
+    job is (c1, c0, d0, d1) of JobModel.coefficients; lam the weights; lo
+    and hi the service floor and ceiling (inf when unbounded); cadence the
+    manager instants between service updates; gain the factor on the
+    observation. eps, kappa and upper are the step size, the core count
+    and the per-app bandwidth cap max_total_bandwidth / cores.
     """
-    if not (rm_period > 0.0) or not (horizon >= 0.0):
-        raise ConfigurationError("rm_period must be positive and horizon non-negative")
-    rm = np.arange(0.0, horizon + rm_period * 0.5, rm_period)
-    apps = []
-    worst = 1
-    for i, p in enumerate(app_periods):
-        if p < rm_period - SUM_TOL:
-            raise ConfigurationError(
-                f"app {i}: update period {p} below manager period {rm_period}; "
-                "every app interval must contain at least one manager update")
-        grid = np.arange(0.0, horizon + p * 0.5, p)
-        counts = np.searchsorted(rm, grid[1:], side="left") - \
-            np.searchsorted(rm, grid[:-1], side="left")
-        worst_i = int(math.ceil(p / rm_period - SUM_TOL))
-        worst = max(worst, worst_i, int(counts.max()) if counts.size else 1)
-        apps.append(grid)
-    bound = worst if n_bar is None else n_bar
-    if worst > bound:
-        raise ConfigurationError(
-            f"an app interval spans {worst} manager updates, above the design bound {bound}")
-    return AsyncTimeline(rm, apps, bound)
+    job: Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+    lam: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    cadence: np.ndarray
+    gain: np.ndarray
+    eps: float
+    kappa: int
+    upper: float
 
 
-def timeline_indices(timeline: AsyncTimeline, t: float,
-                     app: int) -> Tuple[int, int, int, int]:
-    """Index bookkeeping at time t for one app.
+def compile_apps(specs: Sequence[ApplicationSpec], platform: PlatformSpec,
+                 mode: str) -> Coefficients:
+    """Coefficient arrays of the apps in `specs` under an engine mode: sync
+    updates every app at every instant; both async modes follow each app's
+    update_jobs, and async_compensated scales its observation by them."""
+    if mode not in MODES:
+        raise ConfigurationError(f"unknown mode {mode!r}")
+    job = np.array([a.model.coefficients for a in specs],
+                   dtype=float).reshape(-1, 4).T.copy()
+    cadence = np.array([1 if mode == "sync" else a.update_jobs
+                        for a in specs], dtype=int)
+    return Coefficients(
+        job=tuple(job),
+        lam=np.array([a.weight for a in specs], dtype=float),
+        lo=np.array([a.min_service for a in specs], dtype=float),
+        hi=np.array([math.inf if a.max_service is None else a.max_service
+                     for a in specs], dtype=float),
+        cadence=cadence,
+        gain=cadence.astype(float) if mode == "async_compensated"
+        else np.ones(len(specs)),
+        eps=platform.step, kappa=platform.cores,
+        upper=platform.max_total_bandwidth / platform.cores)
 
-    Returns (k_recent, m_recent, psi, n_elapsed):
-      k_recent — index of the app's most recent update at or before t
-      m_recent — index of the manager's most recent update at or before t
-      psi      — index of the app update strictly before manager instant
-                 m_recent (0 when there is none)
-      n_elapsed — manager updates in the app interval ending at k_recent
-                  (defined as the bound for the interval starting there)
+
+def project_service(c: Coefficients, services: np.ndarray) -> np.ndarray:
+    """Clamp service levels onto each app's [floor, ceiling]."""
+    return np.minimum(c.hi, np.maximum(c.lo, services))
+
+
+def service_step(c: Coefficients, services: np.ndarray,
+                 matchings: np.ndarray, age) -> np.ndarray:
+    """The service recursion of the apps due at this instant (age a
+    multiple of the cadence): s + eps * gain * f, projected; the others
+    keep their service."""
+    s = services
+    return np.where(age % c.cadence == 0,
+                    project_service(c, s + c.eps * (c.gain * matchings)), s)
+
+
+class Step(NamedTuple):
+    """One manager instant: what was measured at the entering state, and the
+    state it leaves."""
+    deadline: np.ndarray
+    response: np.ndarray
+    matching: np.ndarray
+    fairness: np.ndarray
+    services: np.ndarray
+    bandwidths: np.ndarray
+    clipped: np.ndarray             # apps the bandwidth projection moved
+
+
+def kernel_step(c: Coefficients, services: np.ndarray,
+                bandwidths: np.ndarray, age) -> Step:
+    """Advance services and normalized bandwidths by one manager instant.
+
+    Arrays have the app axis last and any leading axes, e.g. (S, n) for S
+    scenarios side by side. `age` counts the manager instants since each
+    app joined: 0 is the cold start, and an app updates its service when
+    age is a multiple of its cadence. The phases are: measure every app,
+    form the fairness signal, take the projected bandwidth step, then the
+    service step of the due apps.
     """
-    rm = timeline.rm_instants
-    grid = timeline.app_instants[app]
-    if t < 0.0 or t > timeline.horizon + SUM_TOL:
-        raise ConfigurationError(f"time {t} outside the run horizon")
-    m = int(np.searchsorted(rm, t, side="right")) - 1
-    k = int(np.searchsorted(grid, t, side="right")) - 1
-    psi = int(np.searchsorted(grid, rm[m], side="left")) - 1
-    psi = max(psi, 0)
-    if k + 1 < len(grid):
-        n = int(np.searchsorted(rm, grid[k + 1], side="left")
-                - np.searchsorted(rm, grid[k], side="left"))
-    else:
-        n = int(np.searchsorted(rm, grid[k] + (grid[1] - grid[0] if len(grid) > 1 else 0.0),
-                                side="left")
-                - np.searchsorted(rm, grid[k], side="left")) if len(grid) > 1 else 1
-        n = max(n, 1)
-    return k, m, psi, max(n, 1)
+    s, v = services, bandwidths
+    D, R, f = measure(c.job, s, c.kappa * v, age == 0)
+    F = fairness_vector(f, v, c.lam)
+    v_next, clipped = project_bandwidth(v + c.eps * F, c.upper)
+    return Step(D, R, f, F, service_step(c, s, f, age), v_next, clipped)
 
 
 @dataclass(frozen=True)
@@ -151,6 +162,11 @@ class MembershipEvent:
                 raise ConfigurationError("leave event requires an app id")
         else:
             raise ConfigurationError(f"unknown membership action {self.action!r}")
+
+
+# the per-row value columns of a Trajectory, in recording order
+VALUES = ("service", "bandwidth", "deadline", "response", "matching",
+          "fairness")
 
 
 @dataclass
@@ -188,6 +204,19 @@ class Trajectory:
         """Distinct app ids in order of first appearance."""
         return list(self._groups[0])
 
+    @classmethod
+    def from_records(cls, blocks, events, config) -> "Trajectory":
+        """Join recorded epochs. Each block is (instant times, app ids, a
+        (len(VALUES), instants, apps) array of the VALUES columns)."""
+        return cls(
+            time=np.concatenate([np.repeat(t, len(ids))
+                                 for t, ids, _ in blocks]),
+            app=np.concatenate([np.tile(np.array(ids, dtype=object), len(t))
+                                for t, ids, _ in blocks]),
+            **{name: np.concatenate([rec[j].ravel() for *_, rec in blocks])
+               for j, name in enumerate(VALUES)},
+            events=events, config=config)
+
     def per_app(self, fieldname: str) -> Dict[str, Tuple[np.ndarray, np.ndarray]]:
         """Split a column into per-app (times, values) pairs in row order; an
         app that leaves and re-joins keeps one series."""
@@ -197,34 +226,6 @@ class Trajectory:
         starts = np.concatenate(([0], ends[:-1]))
         return {aid: (times[a:b], values[a:b])
                 for aid, a, b in zip(ids, starts, ends)}
-
-    @property
-    def samples(self) -> List["Sample"]:
-        return [Sample(float(self.time[r]), str(self.app[r]),
-                       float(self.service[r]), float(self.bandwidth[r]),
-                       float(self.deadline[r]), float(self.response[r]),
-                       float(self.matching[r]), float(self.fairness[r]))
-                for r in range(len(self.time))]
-
-
-@dataclass(frozen=True)
-class Sample:
-    """One trajectory row as a value object."""
-    time: float
-    app_id: str
-    service: float
-    bandwidth: float
-    deadline_measured: float
-    response_measured: float
-    matching: float
-    fairness: float
-
-    def __post_init__(self):
-        if math.isfinite(self.response_measured):
-            f = self.deadline_measured / self.response_measured - 1.0
-            if abs(f - self.matching) > 1e-9:
-                raise MeasurementError(
-                    "sample matching inconsistent with its deadline/response pair")
 
 
 def apply_membership_event(state: SystemState, event: MembershipEvent,
@@ -254,125 +255,77 @@ def apply_membership_event(state: SystemState, event: MembershipEvent,
     return make_state(np.delete(s, idx), np.delete(v, idx)), specs
 
 
-MODES = ("sync", "async_compensated", "async_uncompensated")
-
-
 def run_scenario(scenario) -> Trajectory:
     """Advance one scenario over its whole horizon and record every manager
-    instant. See the scenario module for the scenario object itself."""
+    instant. See the scenario module for the scenario object itself.
+
+    Membership events split the run into epochs with a fixed app set; each
+    epoch compiles its apps once and steps them with kernel_step.
+    """
     platform: PlatformSpec = scenario.platform
     specs: List[ApplicationSpec] = list(scenario.apps)
-    mode = scenario.mode
-    if mode == "ode_reference":
+    if scenario.mode == "ode_reference":
         from .reference import integrate_ode
-        state = scenario.initial_state()
-        return integrate_ode(state, specs, platform, platform.step,
-                             scenario.horizon, rm_period=scenario.rm_period,
+        return integrate_ode(scenario.initial_state(), specs, platform,
+                             platform.step, scenario.horizon,
+                             rm_period=scenario.rm_period,
                              config=scenario.echo())
-    if mode not in MODES:
-        raise ConfigurationError(f"unknown mode {mode!r}")
-    eps = platform.step
-    kappa = platform.cores
-    steps = int(round(scenario.horizon / scenario.rm_period)) + 1
     if scenario.strict_bounds:
-        lam = np.array([a.weight for a in specs], dtype=float)
-        # sup|F| bound and the starvation guard 1 / ((L + 1) * cores)
-        L = max(1.0, float(np.max(lam.sum() - lam))) if len(specs) else 1.0
-        guard = 1.0 / ((L + 1.0) * kappa)
-        if eps >= guard:
+        from .reference import compute_bounds
+        guard = compute_bounds(specs, platform).epsilon_star
+        if platform.step >= guard:
             raise ConfigurationError(
-                f"strict mode: step {eps} not below the starvation guard {guard}")
-
+                f"strict mode: step {platform.step} not below the starvation "
+                f"guard {guard}")
+    period = scenario.rm_period
+    steps = scenario.steps
     events = sorted(scenario.events, key=lambda e: e.time)
     for e in events:
-        r = e.time / scenario.rm_period
+        r = e.time / period
         if abs(r - round(r)) > 1e-9:
             raise ConfigurationError(
                 f"membership event at {e.time} is not aligned to a manager instant")
-    ev_i = 0
+    # an event applies at the first instant k with time <= (k + 1e-9) * period
+    at = np.searchsorted(np.arange(steps) * period + 1e-9 * period,
+                         [e.time for e in events])
+    by_instant: Dict[int, List[MembershipEvent]] = {}
+    for k, e in zip(at, events):
+        by_instant.setdefault(int(k), []).append(e)
+    recorded = np.zeros(steps, dtype=bool)
+    recorded[::scenario.sample_stride] = True
+    recorded[-1] = True
 
-    state = scenario.initial_state()
-    state.validated(specs, platform)
-    # per-app step counter since join; drives the update cadence and cold start
-    age = {a.id: 0 for a in specs}
-
-    rows_t: List[np.ndarray] = []
-    rows_app: List[List[str]] = []
-    cols = {k: [] for k in ("service", "bandwidth", "deadline", "response",
-                            "matching", "fairness")}
-    stride = max(1, int(getattr(scenario, "sample_stride", 1)))
-
-    s = state.services.copy()
-    v = state.bandwidths.copy()
-    for k in range(steps):
-        t = k * scenario.rm_period
-        while ev_i < len(events) and events[ev_i].time <= t + 1e-9 * scenario.rm_period:
-            e = events[ev_i]
-            state = make_state(s, v)
-            state, specs = apply_membership_event(state, e, platform, specs)
-            s = state.services.copy()
-            v = state.bandwidths.copy()
+    state = scenario.initial_state().validated(specs, platform)
+    s, v = state.services, state.bandwidths
+    joined = {a.id: 0 for a in specs}
+    edges = sorted({0, steps, *(k for k in by_instant if k < steps)})
+    blocks = []
+    for k0, k1 in zip(edges, edges[1:]):
+        for e in by_instant.get(k0, ()):
+            state, specs = apply_membership_event(make_state(s, v), e,
+                                                  platform, specs)
+            s, v = state.services, state.bandwidths
             if e.action == "join":
-                age[e.spec.id] = 0
-            else:
-                age.pop(e.app_id, None)
-            ev_i += 1
-        n = len(specs)
-        lam = np.array([a.weight for a in specs], dtype=float)
-        D = np.empty(n)
-        R = np.empty(n)
-        f = np.empty(n)
-        for i, a in enumerate(specs):
-            if age[a.id] == 0:
-                # cold start: no completed job yet, neutral measurement
-                D[i] = job_deadline(a.model, s[i])
-                R[i] = D[i]
-                f[i] = 0.0
-            else:
-                D[i], R[i], f[i] = measure_job(a.model, s[i], kappa * v[i])
-        F = fairness_vector(f, v, lam)
-        if k % stride == 0 or k == steps - 1:
-            rows_t.append(np.full(n, t))
-            rows_app.append([a.id for a in specs])
-            cols["service"].append(s.copy())
-            cols["bandwidth"].append(v.copy())
-            cols["deadline"].append(D.copy())
-            cols["response"].append(R.copy())
-            cols["matching"].append(f.copy())
-            cols["fairness"].append(F.copy())
-
-        if k == steps - 1:
-            break
-        # bandwidth recursion
-        result = rm_step(make_state(s, v), f, specs, platform)
-        v = np.asarray(result.new_bandwidths, dtype=float)
-        if v.sum() > 1.0 + SUM_TOL or np.any(v < -SUM_TOL) \
-                or np.any(v > 1.0 / kappa + SUM_TOL):
-            raise InvariantViolation("bandwidth allocation left the feasible set",
-                                     step=k)
-        # service recursions for due apps
-        for i, a in enumerate(specs):
-            cadence = 1 if mode == "sync" else a.update_jobs
-            if age[a.id] % cadence == 0:
-                lo = a.min_service
-                hi = a.max_service
-                if mode == "async_compensated":
-                    y = cadence * f[i]
-                else:
-                    y = f[i]
-                s[i] = min(hi, max(lo, s[i] + eps * y)) if hi is not None \
-                    else max(lo, s[i] + eps * y)
-            age[a.id] += 1
-
-    return Trajectory(
-        time=np.concatenate(rows_t),
-        app=np.array([a for row in rows_app for a in row], dtype=object),
-        service=np.concatenate(cols["service"]),
-        bandwidth=np.concatenate(cols["bandwidth"]),
-        deadline=np.concatenate(cols["deadline"]),
-        response=np.concatenate(cols["response"]),
-        matching=np.concatenate(cols["matching"]),
-        fairness=np.concatenate(cols["fairness"]),
-        events=events,
-        config=scenario.echo(),
-    )
+                joined[e.spec.id] = k0
+        c = compile_apps(specs, platform, scenario.mode)
+        if k0 < steps - 1 and not is_feasible(c.kappa * v, c.kappa):
+            raise InvariantViolation("input state is not a feasible allocation",
+                                     step=k0)
+        since = np.array([joined[a.id] for a in specs], dtype=int)
+        rows = np.flatnonzero(recorded[k0:k1]) + k0
+        rec = np.empty((len(VALUES), len(rows), len(specs)))
+        j = 0
+        for k in range(k0, k1):
+            r = kernel_step(c, s, v, k - since)
+            if recorded[k]:
+                for col, x in zip(rec, (s, v, r.deadline, r.response,
+                                        r.matching, r.fairness)):
+                    col[j] = x
+                j += 1
+            s, v = r.services, r.bandwidths
+            if v.sum() > 1.0 + SUM_TOL or v.min(initial=0.0) < -SUM_TOL \
+                    or v.max(initial=0.0) > c.upper + SUM_TOL:
+                raise InvariantViolation(
+                    "bandwidth allocation left the feasible set", step=k)
+        blocks.append((rows * period, [a.id for a in specs], rec))
+    return Trajectory.from_records(blocks, events, scenario.echo())

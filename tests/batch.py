@@ -1,15 +1,17 @@
-"""Vectorized multi-scenario stepper for the bulk property suites.
+"""Vectorized multi-scenario runs for the bulk property suites.
 
-Runs S synchronous single-core scenarios side by side as (S, n) arrays,
-using the same arithmetic as the per-step engine (response = C / v through
-the multimedia job model, identical operation order), so results are
-bit-identical to fairband.run_scenario on any single scenario. Inactive
-padding slots carry zero weight and zero bandwidth and contribute nothing.
+Runs S synchronous single-core multimedia scenarios side by side as (S, n)
+arrays through the library's kernel_step, so each row is bit-identical to
+fairband.run_scenario on that scenario, and collects statistics over every
+step. Inactive padding slots carry zero weight and zero bandwidth; their
+bandwidth stays 0 and they add nothing to the fairness sums.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
+
+from fairband import Coefficients, kernel_step
 
 
 @dataclass
@@ -34,15 +36,16 @@ def run_batch(alpha, deadline, lam, s0, v0, s_floor, eps, steps,
     """
     alpha = np.asarray(alpha, float)
     S, n = alpha.shape
-    D = np.asarray(deadline, float)
     lam = np.asarray(lam, float)
-    s = np.asarray(s0, float).copy()
-    v = np.asarray(v0, float).copy()
-    floor = np.asarray(s_floor, float)
+    s = np.asarray(s0, float)
+    v = np.asarray(v0, float)
     eps = np.broadcast_to(np.asarray(eps, float), (S, 1)) if np.ndim(eps) else \
         np.full((S, 1), float(eps))
     if active is None:
         active = np.ones((S, n), bool)
+    coef = Coefficients(job=(alpha, 0.0, np.asarray(deadline, float), 0.0),
+                        lam=lam, lo=np.asarray(s_floor, float), hi=np.inf,
+                        cadence=1, gain=1.0, eps=eps, kappa=1, upper=upper)
 
     min_v = np.full(S, np.inf)
     max_sum = np.full(S, -np.inf)
@@ -52,35 +55,21 @@ def run_batch(alpha, deadline, lam, s0, v0, s_floor, eps, steps,
     left = np.zeros(S, bool)
     big = np.where(active, 0.0, np.inf)  # padding never counts toward minima
 
+    sums = v.sum(axis=1)
     for k in range(steps):
-        if k == 0:
-            f = np.zeros((S, n))
-        else:
-            C = alpha * s
-            with np.errstate(divide="ignore"):
-                R = C / v
-            f = np.where(active, np.where(v > 0.0, D / R - 1.0, -1.0), 0.0)
-        neg = np.minimum(f, 0.0)
-        w = lam * neg
-        total = w.sum(axis=1, keepdims=True)
-        F = -(1.0 - v) * w + v * (total - w)
-        raw = v + eps * F
-        vnew = np.clip(raw, 0.0, upper)
-        projected = np.any((raw < 0.0) | (raw > upper), axis=1)
-        sums_next = vnew.sum(axis=1)
-        sums_now = v.sum(axis=1)
-        free = ~projected
-        if free.any():
-            lhs = sums_next[free] - 1.0
-            rhs = (sums_now[free] - 1.0) * (1.0 + eps[free, 0]
-                                            * (lam * neg)[free].sum(axis=1))
-            ident_err = max(ident_err, float(np.max(np.abs(lhs - rhs))))
-        v = vnew
-        s = np.maximum(floor, s + eps * f)
+        r = kernel_step(coef, s, v, k)
+        new_sums = r.bandwidths.sum(axis=1)
+        # one-core accounting on steps the projection left alone:
+        # (sum - 1) contracts by (1 + eps * sum lam*min(f, 0))
+        drift = (sums - 1.0) * (1.0 + eps[:, 0] * (
+            lam * np.minimum(r.matching, 0.0)).sum(axis=1))
+        err = np.abs(new_sums - 1.0 - drift)
+        ident_err = max(ident_err, float(err.max(
+            where=~r.clipped.any(axis=1), initial=0.0)))
+        s, v, sums = r.services, r.bandwidths, new_sums
 
-        vv = v + big
-        min_v = np.minimum(min_v, vv.min(axis=1))
-        max_sum = np.maximum(max_sum, v.sum(axis=1))
+        min_v = np.minimum(min_v, (v + big).min(axis=1))
+        max_sum = np.maximum(max_sum, sums)
         box_viol = max(box_viol,
                        float(np.max(np.maximum(v - upper, -v), initial=0.0)))
         if zeta is not None:

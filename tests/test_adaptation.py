@@ -1,9 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from fairband import (ApplicationSpec, ConfigurationError, InvariantViolation,
-                      JobModel, PlatformSpec, app_step_async, app_step_sync,
-                      make_state, observed_fairness, rm_step)
+from fairband import (ApplicationSpec, Coefficients, ConfigurationError,
+                      InvariantViolation, JobModel, PlatformSpec, compile_apps,
+                      fairness_vector, make_state, rm_step, service_step)
 
 
 def _specs(weights):
@@ -16,13 +18,12 @@ def _specs(weights):
 class TestObservedFairness:
     def test_hand_evaluated(self):
         # lam=(1,1), v=(0.4,0.4), f=(-0.5,0)
-        assert observed_fairness(0, [-0.5, 0], [0.4, 0.4], [1, 1]) == pytest.approx(0.3, abs=1e-15)
-        assert observed_fairness(1, [-0.5, 0], [0.4, 0.4], [1, 1]) == pytest.approx(-0.2, abs=1e-15)
+        F = fairness_vector([-0.5, 0], [0.4, 0.4], [1, 1])
+        assert F == pytest.approx([0.3, -0.2], abs=1e-15)
 
     def test_all_abundant_vanishes(self):
-        for i in range(3):
-            assert observed_fairness(i, [0.1, 0.0, 2.0], [0.2, 0.3, 0.1],
-                                     [0.5, 1.0, 0.9]) == 0
+        F = fairness_vector([0.1, 0.0, 2.0], [0.2, 0.3, 0.1], [0.5, 1.0, 0.9])
+        assert not F.any()
 
     def test_magnitude_bound(self):
         rng = np.random.default_rng(0)
@@ -32,12 +33,7 @@ class TestObservedFairness:
             v = rng.uniform(0, 1.0 / n, n)
             f = rng.uniform(-1.0, 2.0, n)
             bound = max(1.0, float(np.max(lam.sum() - lam)))
-            for i in range(n):
-                assert abs(observed_fairness(i, f, v, lam)) <= bound + 1e-12
-
-    def test_rejects_matching_below_minus_one(self):
-        with pytest.raises(ConfigurationError):
-            observed_fairness(0, [-1.5, 0], [0.4, 0.4], [1, 1])
+            assert np.all(np.abs(fairness_vector(f, v, lam)) <= bound + 1e-12)
 
 
 class TestRmStep:
@@ -111,37 +107,43 @@ class TestRmStep:
             assert abs(lhs - rhs) <= 1e-12
 
 
+def _service(s, f, eps, lo, hi=np.inf, cadence=1):
+    """One app's compensated service step, due at this instant."""
+    coef = Coefficients(job=(1.0, 0.0, 1.0, 0.0), lam=1.0, lo=lo, hi=hi,
+                        cadence=cadence, gain=float(cadence), eps=eps,
+                        kappa=1, upper=1.0)
+    return float(service_step(coef, np.float64(s), np.float64(f), 0))
+
+
 class TestAppSteps:
     def test_sync_hand_evaluated(self):
-        assert app_step_sync(10, -0.5, 0.03, (0.1, None)) == pytest.approx(9.985, abs=1e-15)
+        assert _service(10, -0.5, 0.03, 0.1) == pytest.approx(9.985, abs=1e-15)
 
     def test_sync_clip_at_floor(self):
-        assert app_step_sync(10, -0.5, 0.03, (10, None)) == 10
+        assert _service(10, -0.5, 0.03, 10) == 10
 
     def test_sync_zero_observation(self):
-        assert app_step_sync(10, 0, 0.7, (0, 20)) == 10
+        assert _service(10, 0, 0.7, 0, 20) == 10
 
     def test_async_hand_evaluated(self):
         # 10 + 0.03 * 10 * (-0.5) = 9.85
-        assert app_step_async(10, -0.5, 10, 0.03, (0, 20)) == pytest.approx(9.85, abs=1e-15)
+        assert _service(10, -0.5, 0.03, 0, 20, cadence=10) == \
+            pytest.approx(9.85, abs=1e-15)
 
     def test_async_clip(self):
-        assert app_step_async(10, -0.5, 10, 0.3, (9, 20)) == 9
+        assert _service(10, -0.5, 0.3, 9, 20, cadence=10) == 9
 
     def test_async_upper_clip(self):
-        assert app_step_async(10, 1.0, 10, 0.3, (0, 12)) == 12
+        assert _service(10, 1.0, 0.3, 0, 12, cadence=10) == 12
 
     def test_async_n1_equals_sync(self):
-        rng = np.random.default_rng(1)
-        for _ in range(200):
-            s = rng.uniform(0, 20)
-            f = rng.uniform(-1, 2)
-            eps = rng.uniform(0.001, 0.5)
-            lo = rng.uniform(0, 5)
-            hi = lo + rng.uniform(0, 20)
-            assert app_step_async(s, f, 1, eps, (lo, hi)) == \
-                app_step_sync(s, f, eps, (lo, hi))
+        # update_jobs 1 compiles to the same cadence and gain in every mode
+        spec = _specs([0.5])[0]
+        sync = compile_apps([spec], PlatformSpec(), "sync")
+        for mode in ("async_compensated", "async_uncompensated"):
+            coef = compile_apps([spec], PlatformSpec(), mode)
+            assert coef.cadence == sync.cadence and coef.gain == sync.gain
 
     def test_async_rejects_bad_count(self):
         with pytest.raises(ConfigurationError):
-            app_step_async(10, -0.5, 0, 0.03, (0, 20))
+            dataclasses.replace(_specs([0.5])[0], update_jobs=0)

@@ -1,58 +1,34 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from fairband import (ApplicationSpec, ConfigurationError, JobModel,
-                      MeasurementError, PlatformSpec, classify_matching,
-                      fairness_measure, is_fair_allocation, is_feasible,
-                      make_state, matching_from_measurement, neg_part,
-                      nominal_matching)
-from fairband.core import fairness_vector
-
-
-class TestNegPart:
-    def test_negative_branch(self):
-        assert neg_part(-0.3) == -0.3
-
-    def test_positive_branch(self):
-        assert neg_part(0.5) == 0
-
-    def test_boundary(self):
-        assert neg_part(0.0) == 0
-
-    def test_rejects_non_finite(self):
-        for bad in (math.nan, math.inf, -math.inf):
-            with pytest.raises(ConfigurationError):
-                neg_part(bad)
-
-    @given(st.floats(allow_nan=False, allow_infinity=False))
-    def test_equals_min_with_zero(self, x):
-        assert neg_part(x) == min(x, 0.0)
-        assert neg_part(x) <= 0.0
+                      PlatformSpec, classify_matching, fairness_vector,
+                      is_fair_allocation, is_feasible, make_state,
+                      measure_job, nominal_matching)
 
 
 class TestMatchingFromMeasurement:
+    # a multimedia job at unit service and bandwidth: R = C = alpha
+    def _matching(self, deadline, response):
+        model = JobModel(kind="multimedia", alpha=response, deadline=deadline)
+        return measure_job(model, 1.0, 1.0)[2]
+
     def test_perfect(self):
-        assert matching_from_measurement(10, 10) == 0
+        assert self._matching(10, 10) == 0
 
     def test_scarce(self):
-        assert matching_from_measurement(1, 2) == -0.5
+        assert self._matching(1, 2) == -0.5
 
     def test_abundant(self):
-        assert matching_from_measurement(3, 2) == 0.5
+        assert self._matching(3, 2) == 0.5
 
-    def test_rejects_non_positive_response(self):
-        with pytest.raises(MeasurementError):
-            matching_from_measurement(10, 0)
-        with pytest.raises(MeasurementError):
-            matching_from_measurement(10, -1)
-
-    @given(st.floats(min_value=0, max_value=1e9),
-           st.floats(min_value=1e-9, max_value=1e9))
-    def test_lower_bound(self, d, r):
-        assert matching_from_measurement(d, r) >= -1.0
+    @given(st.floats(min_value=1e-9, max_value=1e9),
+           st.floats(min_value=1e-9, max_value=1e9),
+           st.floats(min_value=0, max_value=1))
+    def test_lower_bound(self, d, r, v):
+        model = JobModel(kind="multimedia", alpha=r, deadline=d)
+        assert measure_job(model, 1.0, v)[2] >= -1.0
 
 
 class TestNominalMatching:
@@ -98,24 +74,15 @@ class TestClassifyMatching:
 
 class TestFairnessMeasure:
     def test_symmetric_pair_is_fair(self):
-        assert fairness_measure(0, [-0.5, -0.5], [0.5, 0.5], [1, 1]) == 0
+        assert list(fairness_vector([-0.5, -0.5], [0.5, 0.5], [1, 1])) == [0, 0]
 
     def test_hand_evaluated_pair(self):
-        args = ([0, -1], [0.8, 0.2], [1, 1])
-        assert fairness_measure(0, *args) == pytest.approx(-0.8, abs=1e-15)
-        assert fairness_measure(1, *args) == pytest.approx(0.8, abs=1e-15)
+        F = fairness_vector([0, -1], [0.8, 0.2], [1, 1])
+        assert F == pytest.approx([-0.8, 0.8], abs=1e-15)
 
     def test_zero_bandwidth_scarce_app_is_pushed_up(self):
         # starving app with a scarce matching: strictly positive measure
-        assert fairness_measure(0, [-0.7, -0.2], [0.0, 0.5], [0.4, 0.9]) > 0
-
-    def test_index_out_of_range(self):
-        with pytest.raises(ConfigurationError):
-            fairness_measure(2, [0, 0], [0.5, 0.5], [1, 1])
-
-    def test_length_mismatch(self):
-        with pytest.raises(ConfigurationError):
-            fairness_measure(0, [0, 0], [0.5], [1, 1])
+        assert fairness_vector([-0.7, -0.2], [0.0, 0.5], [0.4, 0.9])[0] > 0
 
     def test_balanced_ratio_gives_zero(self):
         # with all matchings scarce, the measure vanishes exactly when
@@ -129,7 +96,7 @@ class TestFairnessMeasure:
 
     def test_all_abundant_is_fair_for_any_split(self):
         for v in ([0.1, 0.9], [0.5, 0.5], [0.0, 1.0]):
-            assert fairness_measure(0, [0.3, 0.1], v, [1, 0.5]) == 0
+            assert not fairness_vector([0.3, 0.1], v, [1, 0.5]).any()
 
 
 class TestFeasibility:

@@ -5,10 +5,9 @@ import pytest
 
 from fairband import (ApplicationSpec, ConfigurationError, JobModel,
                       PlatformSpec, asymptotic_fair_share, balance_thresholds,
-                      compute_bounds, epsilon_star_bound, equivalence_bound,
-                      integrate_ode, lyapunov_value, make_state,
+                      compute_bounds, equivalence_bound, integrate_ode, lyapunov_value, make_state,
                       solve_stationary_point, starvation_step_threshold)
-from fairband.reference import StationaryPoint, TheoreticalBounds
+from fairband.reference import StationaryPoint
 
 
 def _demanding(weights, ratio=0.8, floor=1.0):
@@ -23,19 +22,16 @@ def _demanding(weights, ratio=0.8, floor=1.0):
 
 class TestBounds:
     def test_guard_values(self):
-        b = TheoreticalBounds(L=1.0, lambda_min=1.0, epsilon_star=0.5,
-                              ell=1.0, n_bar=1)
-        assert epsilon_star_bound(b, 1) == 0.5
-        assert epsilon_star_bound(b, 4) == 0.125
+        specs = _demanding([0.5, 0.5])  # L = 1
+        assert compute_bounds(specs, PlatformSpec(cores=1)).epsilon_star == 0.5
+        assert compute_bounds(specs, PlatformSpec(cores=4)).epsilon_star == 0.125
 
     def test_guard_shrinks_with_L(self):
         prev = math.inf
-        for L in (1.0, 2.0, 5.0, 20.0):
-            b = TheoreticalBounds(L=L, lambda_min=1.0, epsilon_star=0.0,
-                                  ell=1.0, n_bar=1)
-            g = epsilon_star_bound(b, 1)
-            assert g < prev
-            prev = g
+        for L in (1, 2, 5, 20):
+            b = compute_bounds(_demanding([1.0] * (L + 1)), PlatformSpec())
+            assert b.L == L and b.epsilon_star < prev
+            prev = b.epsilon_star
 
     def test_compute_bounds(self):
         specs = _demanding([0.1, 0.5, 0.8])
@@ -50,7 +46,7 @@ class TestBounds:
         platform = PlatformSpec()
         b = compute_bounds(specs, platform)
         thr = starvation_step_threshold(specs, platform, b)
-        assert 0 < thr < epsilon_star_bound(b, 1)
+        assert 0 < thr < b.epsilon_star
 
 
 class TestFairShares:

@@ -303,6 +303,40 @@ apps:
         assert main(["compare", str(a), str(b)]) == EXIT_VALIDATION
         assert str(bad) in capsys.readouterr().err
 
+    @pytest.mark.parametrize("body", ["{", "{}", "[]"])
+    def test_compare_unreadable_summary_exits_2(self, tmp_path, capsys, body):
+        a = tmp_path / "a"
+        assert main(["run", "sync5", "--horizon", str(5.0 * MS),
+                     "--out", str(a)]) == EXIT_OK
+        (a / "summary.json").write_text(body)
+        capsys.readouterr()
+        assert main(["compare", str(a), str(a)]) == EXIT_VALIDATION
+        assert str(a / "summary.json") in capsys.readouterr().err
+
+    def test_bounds_zeta_with_zero_floor_exits_2(self, capsys):
+        # every sync5 app has min_service 0.0
+        assert main(["bounds", "sync5", "--zeta", "0.5"]) == EXIT_VALIDATION
+        assert "min_service" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field, extra", [
+        ("events", {"events": [{"time": 2000.0, "action": "leave",
+                                "app": "app5"}]}),
+        ("sample_stride", {"sample_stride": 5}),
+    ])
+    def test_ode_reference_rejects_what_it_cannot_honour(self, tmp_path,
+                                                         capsys, field, extra):
+        doc = {**yaml.safe_load(emit(parse_scenario("sync5"))),
+               "horizon": 20.0 * MS, **extra}
+        cfg = tmp_path / "s.yaml"
+        cfg.write_text(yaml.safe_dump(doc))
+        assert main(["run", str(cfg), "--out", str(tmp_path / "sync")]) \
+            == EXIT_OK
+        capsys.readouterr()
+        assert main(["run", str(cfg), "--mode", "ode_reference",
+                     "--out", str(tmp_path / "ode")]) == EXIT_VALIDATION
+        assert field in capsys.readouterr().err
+        assert not (tmp_path / "ode").exists()
+
     @pytest.mark.parametrize("app_id", BAD_IDS)
     def test_run_rejects_app_id_csv_cannot_carry(self, tmp_path, capsys,
                                                  app_id):

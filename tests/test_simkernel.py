@@ -6,9 +6,8 @@ import pytest
 
 from fairband import (AdmissionError, ApplicationSpec, ConfigurationError,
                       JobModel, MembershipEvent, PlatformSpec, Scenario,
-                      apply_membership_event, build_timeline, make_state,
-                      measure_job, job_execution_requirement, nominal_matching,
-                      run_scenario, timeline_indices)
+                      apply_membership_event, compile_apps, make_state,
+                      measure_job, nominal_matching, run_scenario)
 
 
 def _app(i, weight=0.5, floor=1.0, s0=None, v0=0.2, cadence=1, model=None):
@@ -21,14 +20,15 @@ def _app(i, weight=0.5, floor=1.0, s0=None, v0=0.2, cadence=1, model=None):
 
 class TestJobModel:
     def test_synthetic_requirements(self):
+        # at unit bandwidth the response is the execution requirement
         m = JobModel(kind="synthetic", a=20, b=200, deadline=1000)
-        assert job_execution_requirement(m, 10) == 400
+        assert measure_job(m, 10, 1.0)[1] == 400
         m2 = JobModel(kind="synthetic", a=40, b=100, deadline=10000)
-        assert job_execution_requirement(m2, 10) == 500
+        assert measure_job(m2, 10, 1.0)[1] == 500
 
     def test_multimedia_requirement(self):
         m = JobModel(kind="multimedia", alpha=30, deadline=1000)
-        assert job_execution_requirement(m, 4) == 120
+        assert measure_job(m, 4, 1.0)[1] == 120
 
     def test_measure_job_synthetic(self):
         m = JobModel(kind="synthetic", a=20, b=200, deadline=1000)
@@ -62,52 +62,24 @@ class TestJobModel:
 
 class TestTimeline:
     def test_synchronous_grids(self):
-        tl = build_timeline(1.0, [1.0], 3.0)
-        assert list(tl.rm_instants) == [0, 1, 2, 3]
-        assert list(tl.app_instants[0]) == [0, 1, 2, 3]
-        assert tl.n_bar == 1
+        # sync mode puts every app on the manager grid, whatever its cadence
+        apps = [_app(0, cadence=10), _app(1, cadence=3)]
+        assert list(compile_apps(apps, PlatformSpec(), "sync").cadence) == [1, 1]
+        for mode in ("async_compensated", "async_uncompensated"):
+            assert list(compile_apps(apps, PlatformSpec(), mode).cadence) == [10, 3]
 
     def test_cadence_ten(self):
-        tl = build_timeline(1.0, [10.0], 100.0)
-        for k in range(len(tl.app_instants[0]) - 1):
-            t = tl.app_instants[0][k]
-            assert timeline_indices(tl, t, 0)[3] == 10
-
-    def test_fractional_cadence(self):
-        tl = build_timeline(1.0, [2.5], 50.0, n_bar=3)
-        counts = {timeline_indices(tl, t, 0)[3] for t in tl.app_instants[0][:-1]}
-        assert counts == {2, 3}
-
-    def test_period_ordering_enforced(self):
-        with pytest.raises(ConfigurationError):
-            build_timeline(2.0, [1.0], 10.0)
-
-    def test_design_bound_enforced(self):
-        with pytest.raises(ConfigurationError):
-            build_timeline(1.0, [10.0], 100.0, n_bar=5)
-
-    def test_psi_zero_before_first_app_update(self):
-        tl = build_timeline(1.0, [5.0], 20.0)
-        _, _, psi, _ = timeline_indices(tl, 0.5, 0)
-        assert psi == 0
-
-    def test_instant_on_grid_is_left_closed(self):
-        tl = build_timeline(1.0, [1.0], 5.0)
-        assert timeline_indices(tl, 3.0, 0)[1] == 3
-        assert timeline_indices(tl, 3.999, 0)[1] == 3
-
-    def test_out_of_horizon_rejected(self):
-        tl = build_timeline(1.0, [1.0], 5.0)
-        with pytest.raises(ConfigurationError):
-            timeline_indices(tl, 6.5, 0)
-
-    def test_elapsed_counts_cover_all_rm_instants(self):
-        tl = build_timeline(1.0, [2.5], 50.0, n_bar=3)
-        total = sum(timeline_indices(tl, t, 0)[3]
-                    for t in tl.app_instants[0][:-1])
-        last_app = tl.app_instants[0][-1]
-        spanned = int(np.searchsorted(tl.rm_instants, last_app, side="left"))
-        assert total == spanned
+        # the service moves only at every tenth manager instant, by ten
+        # observations' worth
+        apps = [_app(0, 0.9, s0=3.0, v0=0.3, cadence=10),
+                _app(1, 0.5, v0=0.3)]
+        traj = run_scenario(_scenario(apps, steps=100, mode="async_compensated"))
+        t, s = traj.per_app("service")["a0"]
+        moved = t[1:][np.diff(s) != 0.0]
+        assert len(moved) > 0 and np.all(moved % 10 == 1)
+        _, f = traj.per_app("matching")["a0"]
+        k = int(moved[0]) - 1
+        assert s[k + 1] == max(1.0, s[k] + 0.05 * (10 * f[k]))
 
 
 def _scenario(apps, eps=0.05, steps=200, mode="sync", **kw):
@@ -129,8 +101,6 @@ class TestRunScenario:
         finite = np.isfinite(traj.response)
         recon = traj.deadline[finite] / traj.response[finite] - 1.0
         assert np.max(np.abs(recon - traj.matching[finite])) < 1e-12
-        # Sample objects re-run the same identity
-        assert len(traj.samples) == len(traj)
 
     def test_cold_start_is_neutral(self):
         apps = [_app(0, 0.9, v0=0.3)]
