@@ -37,25 +37,27 @@ def _remove_excess(vnew: np.ndarray, excess: float, clipped: np.ndarray) -> np.n
 
 
 def project_bandwidth(raw: np.ndarray, upper: float
-                      ) -> Tuple[np.ndarray, np.ndarray]:
+                      ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Project unconstrained bandwidths onto the feasible set; the last axis
     is the app axis.
 
     Each entry is clipped to [0, upper]. Where a row's sum then exceeds 1 the
     excess is removed, clipped apps first, then proportionally. Returns the
-    projected bandwidths and the mask of apps the projection moved.
+    projected bandwidths, the mask of apps the projection moved and the row
+    sums after the clip. A row whose sum is at most 1 + SUM_TOL is the clip
+    alone, so it is feasible; only a row above that had its excess removed.
     """
-    box = np.clip(raw, 0.0, upper)
+    box = np.minimum(np.maximum(raw, 0.0), upper)
     clipped = box != raw
-    total = box.sum(axis=-1)
+    total = np.add.reduce(box, axis=-1)
     over = total > 1.0 + SUM_TOL
     if not over.any():
-        return box, clipped
+        return box, clipped, total
     v = box.copy()
     rows, hit = v.reshape(-1, v.shape[-1]), clipped.reshape(-1, v.shape[-1])
     for r in np.flatnonzero(over):
         rows[r] = _remove_excess(rows[r], total.flat[r] - 1.0, hit[r])
-    return v, clipped | (v != box)
+    return v, clipped | (v != box), total
 
 
 def rm_step(state: SystemState,
@@ -74,6 +76,6 @@ def rm_step(state: SystemState,
         raise InvariantViolation("input state is not a feasible allocation")
     lam = np.array([a.weight for a in specs], dtype=float)
     F = fairness_vector(matchings, vbar, lam)
-    vnew, clipped = project_bandwidth(vbar + platform.step * F,
-                                      platform.max_total_bandwidth / kappa)
+    vnew, clipped, _ = project_bandwidth(vbar + platform.step * F,
+                                         platform.max_total_bandwidth / kappa)
     return RmUpdateResult(vnew, F, set(int(i) for i in np.flatnonzero(clipped)))

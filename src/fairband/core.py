@@ -51,12 +51,9 @@ def fairness_vector(matchings, bandwidths, weights, cores: int = 1) -> np.ndarra
 
     `bandwidths` are normalized (vbar = v / cores), each in [0, 1/cores].
     """
-    phi = np.asarray(matchings, dtype=float)
-    vbar = np.asarray(bandwidths, dtype=float)
-    lam = np.asarray(weights, dtype=float)
-    neg = np.minimum(phi, 0.0)
-    w = lam * neg
-    total = w.sum(axis=-1, keepdims=True)
+    vbar = np.asarray(bandwidths)
+    w = np.multiply(weights, np.minimum(matchings, 0.0))
+    total = np.add.reduce(w, axis=-1, keepdims=True)
     return -(1.0 - vbar) * w + vbar * (total - w)
 
 

@@ -12,7 +12,8 @@ from .adaptation import project_bandwidth
 from .core import (SUM_TOL, ApplicationSpec, PlatformSpec, SystemState,
                    fairness_vector, nominal_matching)
 from .errors import ConfigurationError, ConvergenceError
-from .simkernel import VALUES, Trajectory, compile_apps, project_service
+from .simkernel import (VALUES, Trajectory, check_budget, compile_apps,
+                        project_service)
 
 
 @dataclass(frozen=True)
@@ -232,12 +233,13 @@ def integrate_ode(initial: SystemState, specs: Sequence[ApplicationSpec],
         raise ConfigurationError("tau_step must be positive")
     period = rm_period if rm_period is not None else 1.0
     steps = int(round(horizon / period)) + 1
+    check_budget(steps, len(specs))
     c = compile_apps(specs, platform, "sync")
     c1, c0, d0, d1 = c.job
     kappa = platform.cores
     s = initial.services.copy()
     v = initial.bandwidths.copy()
-    rec = np.empty((len(VALUES), steps, len(specs)))
+    rec = np.empty((steps, len(VALUES), len(specs)))
     # a synthetic app floored at s = 0 divides 0 by 0 in the unselected branch
     with np.errstate(divide="ignore", invalid="ignore"):
         for k in range(steps):
@@ -253,11 +255,10 @@ def integrate_ode(initial: SystemState, specs: Sequence[ApplicationSpec],
                              math.inf)
                 phi = np.where(np.isfinite(R), D / R - 1.0, -1.0)
             Phi = fairness_vector(phi, v, c.lam)
-            for col, x in zip(rec, (s, v, D, R, phi, Phi)):
-                col[k] = x
+            rec[k] = (s, v, D, R, phi, Phi)
             if k == steps - 1:
                 break
-            v, _ = project_bandwidth(v + tau_step * Phi, c.upper)
+            v = project_bandwidth(v + tau_step * Phi, c.upper)[0]
             s = project_service(c, s + tau_step * phi)
     return Trajectory.from_records(
         [(np.arange(steps) * period, [a.id for a in specs], rec)], [],

@@ -25,22 +25,45 @@ from .errors import AdmissionError, ConfigurationError, InvariantViolation
 MODES = ("sync", "async_compensated", "async_uncompensated")
 
 
-def measure(job, service, bandwidth_unnormalized, cold=False):
+# the floating-point conditions the step kernel meets in normal operation:
+# a synthetic app floored at s = 0 divides 0 by 0 in an unselected branch of
+# measure, and a response that overflows is the zero-bandwidth limit. Every
+# caller of measure or kernel_step runs under this state.
+QUIET = dict(divide="ignore", invalid="ignore", over="ignore")
+
+# the most manager instants x apps one run may record. Each recorded
+# app-step holds six float64 values in its epoch block, then a time, an id
+# and the six values again in the joined Trajectory, about 120 bytes in all,
+# so this bounds a run's arrays at about 1.2 GB.
+MAX_APP_STEPS = 10_000_000
+
+
+def check_budget(steps: int, apps: int) -> None:
+    """Reject a run of `steps` manager instants over `apps` apps that would
+    exceed MAX_APP_STEPS, before anything of that size is allocated."""
+    if steps * apps > MAX_APP_STEPS:
+        raise ConfigurationError(
+            f"horizon/rm_period gives {steps} manager instants; with {apps} "
+            f"apps that is {steps * apps} app-steps, over the budget of "
+            f"{MAX_APP_STEPS}: shorten horizon or raise rm_period")
+
+
+def measure(job, service, bandwidth_unnormalized, cold=None):
     """Run one fluid job per app: returns (deadline, response, matching).
 
     `job` holds the coefficients (c1, c0, d0, d1) of JobModel.coefficients,
     as scalars or arrays whose last axis is the app axis. Response time is
     C / v; zero bandwidth gives an infinite response and the limiting
-    matching value -1. A cold app, with no job completed yet, reads the
-    neutral (D, D, 0).
+    matching value -1. The apps in the `cold` mask, with no job completed
+    yet, read the neutral (D, D, 0); None means no app is cold. Callers run
+    this under np.errstate(**QUIET).
     """
     c1, c0, d0, d1 = job
     s, vu = service, bandwidth_unnormalized
-    # a synthetic app floored at s = 0 divides 0 by 0 in the unselected
-    # branch; a response that overflows is the zero-bandwidth limit
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        D = np.where(d1 > 0.0, d1 / s, d0)
-        R = np.where(cold, D, np.where(vu > 0.0, (c1 * s + c0) / vu, np.inf))
+    D = np.where(d1 > 0.0, d1 / s, d0)
+    R = np.where(vu > 0.0, (c1 * s + c0) / vu, np.inf)
+    if cold is not None:
+        R = np.where(cold, D, R)
     return D, R, D / R - 1.0
 
 
@@ -48,8 +71,9 @@ def measure_job(model: JobModel, service: float,
                 bandwidth_unnormalized: float) -> Tuple[float, float, float]:
     """measure() for a single app, as plain floats."""
     # numpy scalars: a zero divisor gives inf or nan, not ZeroDivisionError
-    D, R, f = measure(model.coefficients, np.float64(service),
-                      np.float64(bandwidth_unnormalized))
+    with np.errstate(**QUIET):
+        D, R, f = measure(model.coefficients, np.float64(service),
+                          np.float64(bandwidth_unnormalized))
     return float(D), float(R), float(f)
 
 
@@ -106,13 +130,24 @@ def project_service(c: Coefficients, services: np.ndarray) -> np.ndarray:
 
 
 def service_step(c: Coefficients, services: np.ndarray,
-                 matchings: np.ndarray, age) -> np.ndarray:
-    """The service recursion of the apps due at this instant (age a
-    multiple of the cadence): s + eps * gain * f, projected; the others
-    keep their service."""
+                 matchings: np.ndarray, due) -> np.ndarray:
+    """The service recursion of the apps in the `due` mask: s + eps * gain
+    * f, projected; the others keep their service."""
     s = services
-    return np.where(age % c.cadence == 0,
-                    project_service(c, s + c.eps * (c.gain * matchings)), s)
+    return np.where(due, project_service(c, s + c.eps * (c.gain * matchings)),
+                    s)
+
+
+def due_mask(c: Coefficients, since: np.ndarray, k0: int, k1: int
+             ) -> np.ndarray:
+    """(k1 - k0, n) bools: which apps update their service at each instant
+    k0 <= k < k1, given the instant each joined. An app is due when the
+    instants since it joined are a multiple of its cadence."""
+    due = np.empty((k1 - k0, len(since)), dtype=bool)
+    for cad in np.unique(c.cadence):
+        cols = np.flatnonzero(c.cadence == cad)
+        due[:, cols] = (np.arange(k0, k1) % cad)[:, None] == since[cols] % cad
+    return due
 
 
 class Step(NamedTuple):
@@ -125,24 +160,30 @@ class Step(NamedTuple):
     services: np.ndarray
     bandwidths: np.ndarray
     clipped: np.ndarray             # apps the bandwidth projection moved
+    total: np.ndarray               # bandwidth row sums before excess removal
 
 
 def kernel_step(c: Coefficients, services: np.ndarray,
-                bandwidths: np.ndarray, age) -> Step:
+                bandwidths: np.ndarray, due, cold=None) -> Step:
     """Advance services and normalized bandwidths by one manager instant.
 
     Arrays have the app axis last and any leading axes, e.g. (S, n) for S
-    scenarios side by side. `age` counts the manager instants since each
-    app joined: 0 is the cold start, and an app updates its service when
-    age is a multiple of its cadence. The phases are: measure every app,
-    form the fairness signal, take the projected bandwidth step, then the
-    service step of the due apps.
+    scenarios side by side. `due` masks the apps that update their service
+    at this instant (see due_mask); `cold` masks the apps at their cold
+    start, the instant they joined, or is None when no app is. The phases
+    are: measure every app, form the fairness signal, take the projected
+    bandwidth step, then the service step of the due apps.
+
+    The caller runs its step loop under np.errstate(**QUIET). A row whose
+    `total` exceeds 1 + SUM_TOL had its excess removed; every other row is
+    feasible by construction (see project_bandwidth).
     """
     s, v = services, bandwidths
-    D, R, f = measure(c.job, s, c.kappa * v, age == 0)
+    D, R, f = measure(c.job, s, c.kappa * v, cold)
     F = fairness_vector(f, v, c.lam)
-    v_next, clipped = project_bandwidth(v + c.eps * F, c.upper)
-    return Step(D, R, f, F, service_step(c, s, f, age), v_next, clipped)
+    v_next, clipped, total = project_bandwidth(v + c.eps * F, c.upper)
+    return Step(D, R, f, F, service_step(c, s, f, due), v_next, clipped,
+                total)
 
 
 @dataclass(frozen=True)
@@ -206,14 +247,14 @@ class Trajectory:
 
     @classmethod
     def from_records(cls, blocks, events, config) -> "Trajectory":
-        """Join recorded epochs. Each block is (instant times, app ids, a
-        (len(VALUES), instants, apps) array of the VALUES columns)."""
+        """Join recorded epochs. Each block is (instant times, app ids, an
+        (instants, len(VALUES), apps) array of the VALUES columns)."""
         return cls(
             time=np.concatenate([np.repeat(t, len(ids))
                                  for t, ids, _ in blocks]),
             app=np.concatenate([np.tile(np.array(ids, dtype=object), len(t))
                                 for t, ids, _ in blocks]),
-            **{name: np.concatenate([rec[j].ravel() for *_, rec in blocks])
+            **{name: np.concatenate([rec[:, j].ravel() for *_, rec in blocks])
                for j, name in enumerate(VALUES)},
             events=events, config=config)
 
@@ -260,16 +301,11 @@ def run_scenario(scenario) -> Trajectory:
     instant. See the scenario module for the scenario object itself.
 
     Membership events split the run into epochs with a fixed app set; each
-    epoch compiles its apps once and steps them with kernel_step.
+    epoch compiles its apps and their due masks once and steps them with
+    kernel_step.
     """
     platform: PlatformSpec = scenario.platform
     specs: List[ApplicationSpec] = list(scenario.apps)
-    if scenario.mode == "ode_reference":
-        from .reference import integrate_ode
-        return integrate_ode(scenario.initial_state(), specs, platform,
-                             platform.step, scenario.horizon,
-                             rm_period=scenario.rm_period,
-                             config=scenario.echo())
     if scenario.strict_bounds:
         from .reference import compute_bounds
         guard = compute_bounds(specs, platform).epsilon_star
@@ -277,8 +313,16 @@ def run_scenario(scenario) -> Trajectory:
             raise ConfigurationError(
                 f"strict mode: step {platform.step} not below the starvation "
                 f"guard {guard}")
+    if scenario.mode == "ode_reference":
+        from .reference import integrate_ode
+        return integrate_ode(scenario.initial_state(), specs, platform,
+                             platform.step, scenario.horizon,
+                             rm_period=scenario.rm_period,
+                             config=scenario.echo())
     period = scenario.rm_period
     steps = scenario.steps
+    check_budget(steps, len(specs) + sum(e.action == "join"
+                                         for e in scenario.events))
     events = sorted(scenario.events, key=lambda e: e.time)
     for e in events:
         r = e.time / period
@@ -300,32 +344,38 @@ def run_scenario(scenario) -> Trajectory:
     joined = {a.id: 0 for a in specs}
     edges = sorted({0, steps, *(k for k in by_instant if k < steps)})
     blocks = []
-    for k0, k1 in zip(edges, edges[1:]):
-        for e in by_instant.get(k0, ()):
-            state, specs = apply_membership_event(make_state(s, v), e,
-                                                  platform, specs)
-            s, v = state.services, state.bandwidths
-            if e.action == "join":
-                joined[e.spec.id] = k0
-        c = compile_apps(specs, platform, scenario.mode)
-        if k0 < steps - 1 and not is_feasible(c.kappa * v, c.kappa):
-            raise InvariantViolation("input state is not a feasible allocation",
-                                     step=k0)
-        since = np.array([joined[a.id] for a in specs], dtype=int)
-        rows = np.flatnonzero(recorded[k0:k1]) + k0
-        rec = np.empty((len(VALUES), len(rows), len(specs)))
-        j = 0
-        for k in range(k0, k1):
-            r = kernel_step(c, s, v, k - since)
-            if recorded[k]:
-                for col, x in zip(rec, (s, v, r.deadline, r.response,
-                                        r.matching, r.fairness)):
-                    col[j] = x
-                j += 1
-            s, v = r.services, r.bandwidths
-            if v.sum() > 1.0 + SUM_TOL or v.min(initial=0.0) < -SUM_TOL \
-                    or v.max(initial=0.0) > c.upper + SUM_TOL:
+    limit = 1.0 + SUM_TOL
+    with np.errstate(**QUIET):
+        for k0, k1 in zip(edges, edges[1:]):
+            for e in by_instant.get(k0, ()):
+                state, specs = apply_membership_event(make_state(s, v), e,
+                                                      platform, specs)
+                s, v = state.services, state.bandwidths
+                if e.action == "join":
+                    joined[e.spec.id] = k0
+            c = compile_apps(specs, platform, scenario.mode)
+            if k0 < steps - 1 and not is_feasible(c.kappa * v, c.kappa):
                 raise InvariantViolation(
-                    "bandwidth allocation left the feasible set", step=k)
-        blocks.append((rows * period, [a.id for a in specs], rec))
+                    "input state is not a feasible allocation", step=k0)
+            since = np.array([joined[a.id] for a in specs], dtype=int)
+            keep = recorded[k0:k1]
+            rec = np.empty((np.count_nonzero(keep), len(VALUES), len(specs)))
+            cold = since == k0
+            j = 0
+            for k, due, kept in zip(range(k0, k1), due_mask(c, since, k0, k1),
+                                    keep.tolist()):
+                r = kernel_step(c, s, v, due, cold)
+                cold = None
+                if kept:
+                    rec[j] = (s, v, r.deadline, r.response, r.matching,
+                              r.fairness)
+                    j += 1
+                s, v = r.services, r.bandwidths
+                # rows within the sum limit are the clip alone, in the box
+                if r.total > limit and (v.sum() > limit or v.min() < -SUM_TOL
+                                        or v.max() > c.upper + SUM_TOL):
+                    raise InvariantViolation(
+                        "bandwidth allocation left the feasible set", step=k)
+            blocks.append(((np.flatnonzero(keep) + k0) * period,
+                           [a.id for a in specs], rec))
     return Trajectory.from_records(blocks, events, scenario.echo())

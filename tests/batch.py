@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from fairband import Coefficients, kernel_step
+from fairband.simkernel import QUIET
 
 
 @dataclass
@@ -56,27 +57,30 @@ def run_batch(alpha, deadline, lam, s0, v0, s_floor, eps, steps,
     big = np.where(active, 0.0, np.inf)  # padding never counts toward minima
 
     sums = v.sum(axis=1)
-    for k in range(steps):
-        r = kernel_step(coef, s, v, k)
-        new_sums = r.bandwidths.sum(axis=1)
-        # one-core accounting on steps the projection left alone:
-        # (sum - 1) contracts by (1 + eps * sum lam*min(f, 0))
-        drift = (sums - 1.0) * (1.0 + eps[:, 0] * (
-            lam * np.minimum(r.matching, 0.0)).sum(axis=1))
-        err = np.abs(new_sums - 1.0 - drift)
-        ident_err = max(ident_err, float(err.max(
-            where=~r.clipped.any(axis=1), initial=0.0)))
-        s, v, sums = r.services, r.bandwidths, new_sums
+    cold = True  # every app starts cold
+    with np.errstate(**QUIET):
+        for k in range(steps):
+            r = kernel_step(coef, s, v, True, cold)
+            cold = None
+            new_sums = r.bandwidths.sum(axis=1)
+            # one-core accounting on steps the projection left alone:
+            # (sum - 1) contracts by (1 + eps * sum lam*min(f, 0))
+            drift = (sums - 1.0) * (1.0 + eps[:, 0] * (
+                lam * np.minimum(r.matching, 0.0)).sum(axis=1))
+            err = np.abs(new_sums - 1.0 - drift)
+            ident_err = max(ident_err, float(err.max(
+                where=~r.clipped.any(axis=1), initial=0.0)))
+            s, v, sums = r.services, r.bandwidths, new_sums
 
-        min_v = np.minimum(min_v, (v + big).min(axis=1))
-        max_sum = np.maximum(max_sum, sums)
-        box_viol = max(box_viol,
-                       float(np.max(np.maximum(v - upper, -v), initial=0.0)))
-        if zeta is not None:
-            inside = np.all(np.where(active, v, 0.0) <= zeta, axis=1)
-            newly = inside & (contained < 0)
-            contained[newly] = k
-            left |= (~inside) & (contained >= 0)
+            min_v = np.minimum(min_v, (v + big).min(axis=1))
+            max_sum = np.maximum(max_sum, sums)
+            box_viol = max(box_viol, float(
+                np.max(np.maximum(v - upper, -v), initial=0.0)))
+            if zeta is not None:
+                inside = np.all(np.where(active, v, 0.0) <= zeta, axis=1)
+                newly = inside & (contained < 0)
+                contained[newly] = k
+                left |= (~inside) & (contained >= 0)
 
     return BatchResult(v, s, min_v, max_sum, box_viol, ident_err,
                        contained, left)

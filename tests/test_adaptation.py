@@ -2,10 +2,14 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from fairband import (ApplicationSpec, Coefficients, ConfigurationError,
                       InvariantViolation, JobModel, PlatformSpec, compile_apps,
                       fairness_vector, make_state, rm_step, service_step)
+from fairband.adaptation import project_bandwidth
+from fairband.core import SUM_TOL
 
 
 def _specs(weights):
@@ -107,12 +111,35 @@ class TestRmStep:
             assert abs(lhs - rhs) <= 1e-12
 
 
+class TestProjectBandwidth:
+    @given(hnp.arrays(float, st.tuples(st.integers(1, 4), st.integers(1, 8)),
+                      elements=st.floats(-0.5, 1.5)),
+           st.floats(0.05, 1.0))
+    # the first row sums to 1.4 after the clip, so it has excess removed
+    @example(np.array([[0.9, 0.6, -0.1], [0.2, 0.3, 0.1]]), 0.8)
+    def test_feasible_and_batched_equals_rows(self, raw, upper):
+        v, clipped, total = project_bandwidth(raw, upper)
+        assert np.all((v >= 0.0) & (v <= upper))
+        assert np.all(v.sum(axis=-1) <= 1.0 + SUM_TOL)
+        assert np.array_equal(clipped, v != raw)
+        box = np.minimum(np.maximum(raw, 0.0), upper)
+        assert np.array_equal(total, box.sum(axis=-1))
+        # rows within the sum limit are the clip alone
+        within = total <= 1.0 + SUM_TOL
+        assert np.array_equal(v[within], box[within])
+        for row in range(len(raw)):
+            v1, clipped1, total1 = project_bandwidth(raw[row], upper)
+            assert np.array_equal(v1, v[row])
+            assert np.array_equal(clipped1, clipped[row])
+            assert total1 == total[row]
+
+
 def _service(s, f, eps, lo, hi=np.inf, cadence=1):
     """One app's compensated service step, due at this instant."""
     coef = Coefficients(job=(1.0, 0.0, 1.0, 0.0), lam=1.0, lo=lo, hi=hi,
                         cadence=cadence, gain=float(cadence), eps=eps,
                         kappa=1, upper=1.0)
-    return float(service_step(coef, np.float64(s), np.float64(f), 0))
+    return float(service_step(coef, np.float64(s), np.float64(f), True))
 
 
 class TestAppSteps:

@@ -1,4 +1,5 @@
-"""Pins on the engine's output: artifact digests, and relations between modes.
+"""Pins on the engine's output: artifact digests, relations between modes,
+and the checks that stop a run before or during its step loop.
 
 The digests were recorded from runs before the step kernel replaced the
 per-app engine loop; any change to the recursion's arithmetic or operation
@@ -11,10 +12,14 @@ import hashlib
 import numpy as np
 import pytest
 
-from fairband import (compile_apps, kernel_step, parse_scenario,
-                      parse_scenario_text, run_scenario)
+import fairband.adaptation as adaptation
+import fairband.simkernel as simkernel
+from fairband import (ConfigurationError, InvariantViolation, compile_apps,
+                      kernel_step, parse_scenario, parse_scenario_text,
+                      run_scenario)
 from fairband.cli import write_trajectory_csv
-from fairband.simkernel import VALUES
+from fairband.core import SUM_TOL
+from fairband.simkernel import QUIET, VALUES, due_mask
 
 COLUMNS = ("time",) + VALUES
 
@@ -113,12 +118,56 @@ def test_batched_rows_match_single_runs():
     s = np.tile(state.services, (len(steps), 1))
     v = np.tile(state.bandwidths, (len(steps), 1))
     n = len(base.apps)
-    for k in range(base.steps):
-        r = kernel_step(coef, s, v, k)
-        for row, single in enumerate(singles):
-            for name, got in zip(VALUES, (s, v, r.deadline, r.response,
-                                          r.matching, r.fairness)):
-                want = getattr(single, name)[k * n:(k + 1) * n]
-                assert np.array_equal(got[row], want), (k, row, name)
-        s, v = r.services, r.bandwidths
+    due = due_mask(coef, np.zeros(n, dtype=int), 0, base.steps)
+    with np.errstate(**QUIET):
+        for k in range(base.steps):
+            r = kernel_step(coef, s, v, due[k], True if k == 0 else None)
+            for row, single in enumerate(singles):
+                for name, got in zip(VALUES, (s, v, r.deadline, r.response,
+                                              r.matching, r.fairness)):
+                    want = getattr(single, name)[k * n:(k + 1) * n]
+                    assert np.array_equal(got[row], want), (k, row, name)
+            s, v = r.services, r.bandwidths
 
+
+
+# ways an excess removal can leave the feasible set: the sum above 1, an
+# entry below 0, an entry above the cap (0.5 here)
+BREACHES = {
+    "sum": lambda v: v,
+    "negative": lambda v: np.where(np.arange(len(v)) == 0, -0.25, 0.0),
+    "above-cap": lambda v: np.where(np.arange(len(v)) == 0, 0.75, 0.0),
+}
+
+
+@pytest.mark.parametrize("breach", BREACHES)
+def test_infeasible_excess_removal_is_caught(monkeypatch, breach):
+    s = _mixed(events=(), sample_stride=1, horizon=19.0, step=1.5)
+    s = dataclasses.replace(s, platform=dataclasses.replace(
+        s.platform, max_total_bandwidth=0.5))
+    upper = compile_apps(s.apps, s.platform, s.mode).upper
+    traj = run_scenario(s)
+    # the first instant whose clipped bandwidth step sums above 1
+    raw = traj.bandwidth + s.platform.step * traj.fairness
+    box = np.minimum(np.maximum(raw, 0.0), upper).reshape(s.steps, -1)
+    first = int(np.flatnonzero(box.sum(axis=1) > 1.0 + SUM_TOL)[0])
+    monkeypatch.setattr(adaptation, "_remove_excess",
+                        lambda vnew, excess, clipped: BREACHES[breach](vnew))
+    with pytest.raises(InvariantViolation) as info:
+        run_scenario(s)
+    assert info.value.step == first
+
+
+@pytest.mark.parametrize("mode", ["async_compensated", "ode_reference"])
+def test_step_budget_is_checked_before_the_run(monkeypatch, mode):
+    # 20 instants; the mixed run counts its three apps and the join
+    s = _mixed(horizon=19.0)
+    if mode == "ode_reference":
+        s = _mixed(horizon=19.0, events=(), sample_stride=1, mode=mode)
+    app_steps = s.steps * (len(s.apps) + len(
+        [e for e in s.events if e.action == "join"]))
+    monkeypatch.setattr(simkernel, "MAX_APP_STEPS", app_steps)
+    run_scenario(s)
+    monkeypatch.setattr(simkernel, "MAX_APP_STEPS", app_steps - 1)
+    with pytest.raises(ConfigurationError, match="horizon/rm_period"):
+        run_scenario(s)

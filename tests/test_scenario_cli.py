@@ -354,6 +354,25 @@ apps:
                      "--out", str(tmp_path / "out")]) == EXIT_VALIDATION
         assert "horizon" in capsys.readouterr().err
 
+    def test_strict_guard_holds_in_every_mode(self, tmp_path, capsys):
+        errors = []
+        for mode in ("sync", "ode_reference"):
+            assert main(["run", "sync5", "--mode", mode, "--strict",
+                         "--step", "0.9", "--out", str(tmp_path / mode)]) \
+                == EXIT_VALIDATION
+            errors.append(capsys.readouterr().err)
+        assert "step 0.9 not below the starvation guard 0.294" in errors[0]
+        assert errors[0] == errors[1]
+
+    @pytest.mark.parametrize("mode", ["sync", "ode_reference"])
+    def test_run_over_step_budget_exits_2(self, tmp_path, capsys, mode):
+        # 10**12 instants: rejected before any per-instant array exists
+        assert main(["run", "sync5", "--mode", mode, "--horizon", "1e15",
+                     "--out", str(tmp_path / "out")]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "horizon/rm_period" in err and "5 apps" in err
+        assert not (tmp_path / "out").exists()
+
     def test_run_rejects_malformed_yaml(self, tmp_path, capsys):
         cfg = tmp_path / "s.yaml"
         cfg.write_text("rm_period: [1.0\napps: {\n")
