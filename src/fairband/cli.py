@@ -32,6 +32,10 @@ CSV_HEADER = "time,app,service,bandwidth,deadline,response,matching,fairness"
 # one record per CSV row; the app id is the only non-float field
 _CSV_ROW = np.dtype([(name, object if name == "app" else float)
                      for name in CSV_HEADER.split(",")])
+_CSV_LINE = ",".join(["%s"] * len(_CSV_ROW.names)) + "\n"
+# rows formatted per write: the strings of one chunk are all the writer
+# holds, where a whole-file join grows the process by the file's size
+_CSV_CHUNK = 1024
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -39,14 +43,29 @@ EXIT_INVARIANT = 3
 EXIT_IO = 4
 
 
+def _format_distinct(column: np.ndarray) -> np.ndarray:
+    """`%.17g` text of a float64 column, formatting each distinct bit
+    pattern once (so -0.0 keeps its sign next to 0.0)."""
+    bits, inverse = np.unique(column.view(np.int64), return_inverse=True)
+    text = ("%.17g\n" * len(bits) % tuple(bits.view(np.float64).tolist()))
+    return np.array(text.split("\n"), dtype=object)[inverse]
+
+
 def write_trajectory_csv(traj: Trajectory, path: Path) -> None:
+    """One row per trajectory row, every float as `%.17g`, which
+    read_trajectory_csv parses back bit for bit."""
+    columns = [traj.app if name == "app" else
+               np.ascontiguousarray(getattr(traj, name), dtype=np.float64)
+               for name in _CSV_ROW.names]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(CSV_HEADER + "\n")
-        for r in range(len(traj)):
-            fh.write("%.17g,%s,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g\n" % (
-                traj.time[r], traj.app[r], traj.service[r], traj.bandwidth[r],
-                traj.deadline[r], traj.response[r], traj.matching[r],
-                traj.fairness[r]))
+        for lo in range(0, len(traj), _CSV_CHUNK):
+            hi = min(lo + _CSV_CHUNK, len(traj))
+            cells = np.empty((hi - lo, len(columns)), dtype=object)
+            for j, col in enumerate(columns):
+                cells[:, j] = (col[lo:hi] if col is traj.app
+                               else _format_distinct(col[lo:hi]))
+            fh.write(_CSV_LINE * (hi - lo) % tuple(cells.ravel().tolist()))
 
 
 def read_trajectory_csv(path: Path) -> Trajectory:

@@ -19,6 +19,8 @@ ABUNDANT = "abundant"
 
 # absolute tolerance for bookkeeping identities (bandwidth sums etc.)
 SUM_TOL = 1e-12
+# the step kernel keeps update cadences in int64 arrays
+MAX_UPDATE_JOBS = int(np.iinfo(np.int64).max)
 
 
 def nominal_matching(beta: float, service: float, bandwidth: float) -> float:
@@ -166,8 +168,9 @@ class ApplicationSpec:
                 raise ConfigurationError(f"app {self.id}: max_service below min_service")
             if self.initial_service > self.max_service:
                 raise ConfigurationError(f"app {self.id}: initial_service above max_service")
-        if self.update_jobs < 1:
-            raise ConfigurationError(f"app {self.id}: update_jobs must be >= 1")
+        if not (1 <= self.update_jobs <= MAX_UPDATE_JOBS):
+            raise ConfigurationError(
+                f"app {self.id}: update_jobs must be in [1, {MAX_UPDATE_JOBS}]")
         if self.initial_bandwidth is not None and not (0.0 <= self.initial_bandwidth <= 1.0):
             raise ConfigurationError(f"app {self.id}: initial_bandwidth must be in [0, 1]")
 

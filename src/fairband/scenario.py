@@ -140,93 +140,132 @@ def _event_dict(e: MembershipEvent) -> Dict:
     return {"time": e.time, "action": "leave", "app": e.app_id}
 
 
+# the keys each mapping of a config may hold; any other key is refused
+_TOP_KEYS = ("name", "mode", "rm_period", "horizon", "strict_bounds",
+             "sample_stride", "platform", "apps", "events")
+_PLATFORM_KEYS = ("cores", "step", "match_tol", "max_total_bandwidth")
+_APP_KEYS = ("id", "weight", "min_service", "max_service", "initial_service",
+             "initial_bandwidth", "update_jobs", "model")
+_MODEL_KEYS = ("kind", "deadline", "alpha", "a", "b", "beta", "coeff_unit")
+_EVENT_KEYS = ("time", "action", "app")
+
+
+def _mapping(d, path: str, keys: Tuple[str, ...]) -> Dict:
+    if not isinstance(d, dict):
+        raise ConfigurationError(f"{path} must be a mapping")
+    for key in d:
+        if key not in keys:
+            raise ConfigurationError(f"unknown field {path}.{key}")
+    return d
+
+
 def _want(d: Dict, key: str, path: str):
     if key not in d:
         raise ConfigurationError(f"missing required field {path}.{key}")
     return d[key]
 
 
-def _parse_model(d: Dict, path: str) -> JobModel:
-    if not isinstance(d, dict):
-        raise ConfigurationError(f"{path} must be a mapping")
+def _float(value, where: str) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ConfigurationError(
+            f"{where} must be a number, got {value!r}") from None
+
+
+def _integer(value, where: str) -> int:
+    """An int, or a float with no fraction; anything else is refused rather
+    than truncated."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigurationError(f"{where} must be an integer, got {value!r}")
+    return value
+
+
+def _parse_model(d, path: str) -> JobModel:
+    _mapping(d, path, _MODEL_KEYS)
     kind = _want(d, "kind", path)
     unit = d.get("coeff_unit", "tu")
     if unit not in ("tu", "ms"):
         raise ConfigurationError(f"{path}.coeff_unit must be 'tu' or 'ms'")
     scale = MS if unit == "ms" else 1.0
+    coeff = {key: _float(d.get(key, 0.0), f"{path}.{key}") * scale
+             for key in ("deadline", "alpha", "a", "b")}
+    beta = None if d.get("beta") is None else _float(d["beta"], f"{path}.beta")
     try:
-        return JobModel(
-            kind=kind,
-            deadline=float(d.get("deadline", 0.0)) * scale,
-            alpha=float(d.get("alpha", 0.0)) * scale,
-            a=float(d.get("a", 0.0)) * scale,
-            b=float(d.get("b", 0.0)) * scale,
-            beta=None if d.get("beta") is None else float(d["beta"]),
-        )
+        return JobModel(kind=kind, beta=beta, **coeff)
     except ConfigurationError as exc:
         raise ConfigurationError(f"{path}: {exc}") from exc
 
 
-def _parse_app(d: Dict, path: str) -> ApplicationSpec:
-    if not isinstance(d, dict):
-        raise ConfigurationError(f"{path} must be a mapping")
-    try:
-        fields = dict(
-            id=str(_want(d, "id", path)),
-            weight=float(_want(d, "weight", path)),
-            min_service=float(_want(d, "min_service", path)),
-            initial_service=float(_want(d, "initial_service", path)),
-            model=_parse_model(_want(d, "model", path), f"{path}.model"),
-            max_service=None if d.get("max_service") is None
-            else float(d["max_service"]),
-            update_jobs=int(d.get("update_jobs", 1)),
-            initial_bandwidth=None if d.get("initial_bandwidth") is None
-            else float(d["initial_bandwidth"]),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigurationError(f"{path}: {exc}") from exc
+def _parse_app(d, path: str) -> ApplicationSpec:
+    _mapping(d, path, _APP_KEYS)
+    fields = dict(
+        id=str(_want(d, "id", path)),
+        weight=_float(_want(d, "weight", path), f"{path}.weight"),
+        min_service=_float(_want(d, "min_service", path),
+                           f"{path}.min_service"),
+        initial_service=_float(_want(d, "initial_service", path),
+                               f"{path}.initial_service"),
+        model=_parse_model(_want(d, "model", path), f"{path}.model"),
+        max_service=None if d.get("max_service") is None
+        else _float(d["max_service"], f"{path}.max_service"),
+        update_jobs=_integer(d.get("update_jobs", 1), f"{path}.update_jobs"),
+        initial_bandwidth=None if d.get("initial_bandwidth") is None
+        else _float(d["initial_bandwidth"], f"{path}.initial_bandwidth"),
+    )
     try:
         return ApplicationSpec(**fields)
     except ConfigurationError as exc:
         raise ConfigurationError(f"{path}: {exc}") from exc
 
 
+def _parse_event(d, path: str) -> MembershipEvent:
+    _mapping(d, path, _EVENT_KEYS)
+    action = _want(d, "action", path)
+    t = _float(_want(d, "time", path), f"{path}.time")
+    if action == "join":
+        return MembershipEvent(
+            t, "join", spec=_parse_app(_want(d, "app", path), f"{path}.app"))
+    if action == "leave":
+        return MembershipEvent(t, "leave", app_id=str(_want(d, "app", path)))
+    raise ConfigurationError(f"{path}.action must be join or leave")
+
+
 def scenario_from_dict(doc: Dict) -> Scenario:
-    if not isinstance(doc, dict):
-        raise ConfigurationError("scenario document must be a mapping")
-    pd = doc.get("platform", {})
+    _mapping(doc, "scenario", _TOP_KEYS)
+    pd = _mapping(doc.get("platform", {}), "platform", _PLATFORM_KEYS)
     platform = PlatformSpec(
-        cores=int(pd.get("cores", 1)),
-        step=float(pd.get("step", 0.05)),
-        match_tol=float(pd.get("match_tol", 0.05)),
-        max_total_bandwidth=float(pd.get("max_total_bandwidth", 1.0)),
+        cores=_integer(pd.get("cores", 1), "platform.cores"),
+        step=_float(pd.get("step", 0.05), "platform.step"),
+        match_tol=_float(pd.get("match_tol", 0.05), "platform.match_tol"),
+        max_total_bandwidth=_float(pd.get("max_total_bandwidth", 1.0),
+                                   "platform.max_total_bandwidth"),
     )
     apps_doc = _want(doc, "apps", "scenario")
     if not isinstance(apps_doc, list):
         raise ConfigurationError("scenario.apps must be a list")
     apps = [_parse_app(a, f"apps[{i}]") for i, a in enumerate(apps_doc)]
-    events = []
-    for i, e in enumerate(doc.get("events", []) or []):
-        action = _want(e, "action", f"events[{i}]")
-        t = float(_want(e, "time", f"events[{i}]"))
-        if action == "join":
-            events.append(MembershipEvent(
-                t, "join", spec=_parse_app(_want(e, "app", f"events[{i}]"),
-                                           f"events[{i}].app")))
-        elif action == "leave":
-            events.append(MembershipEvent(
-                t, "leave", app_id=str(_want(e, "app", f"events[{i}]"))))
-        else:
-            raise ConfigurationError(f"events[{i}].action must be join or leave")
+    events_doc = [] if doc.get("events") is None else doc["events"]
+    if not isinstance(events_doc, list):
+        raise ConfigurationError("scenario.events must be a list")
+    events = [_parse_event(e, f"events[{i}]") for i, e in enumerate(events_doc)]
+    strict = doc.get("strict_bounds", False)
+    if not isinstance(strict, bool):
+        raise ConfigurationError(
+            f"scenario.strict_bounds must be true or false, got {strict!r}")
     return Scenario(
         platform=platform,
         apps=tuple(apps),
-        rm_period=float(_want(doc, "rm_period", "scenario")),
-        horizon=float(_want(doc, "horizon", "scenario")),
+        rm_period=_float(_want(doc, "rm_period", "scenario"),
+                         "scenario.rm_period"),
+        horizon=_float(_want(doc, "horizon", "scenario"), "scenario.horizon"),
         mode=str(doc.get("mode", "sync")),
         events=tuple(events),
-        strict_bounds=bool(doc.get("strict_bounds", False)),
-        sample_stride=int(doc.get("sample_stride", 1)),
+        strict_bounds=strict,
+        sample_stride=_integer(doc.get("sample_stride", 1),
+                               "scenario.sample_stride"),
         name=str(doc.get("name", "scenario")),
     )
 

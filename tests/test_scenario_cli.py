@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -10,15 +11,42 @@ import yaml
 
 from fairband import (ConfigurationError, MembershipEvent, Scenario,
                       parse_scenario, parse_scenario_text, run_scenario)
-from fairband.cli import (EXIT_INVARIANT, EXIT_IO, EXIT_OK, EXIT_VALIDATION,
-                          _jsonable, main, read_trajectory_csv,
-                          write_trajectory_csv)
+from fairband.cli import (CSV_HEADER, EXIT_INVARIANT, EXIT_IO, EXIT_OK,
+                          EXIT_VALIDATION, _jsonable, main,
+                          read_trajectory_csv, write_trajectory_csv)
 from fairband.scenario import MS, emit, scenario_from_dict
 from fairband.simkernel import Trajectory
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 # ids the CSV cannot carry: a field separator, or not printable
 BAD_IDS = ["a,b", "a\nb", "a\rb", "a\x85b", "a\u2028b"]
+FLOAT_COLUMNS = ("time", "service", "bandwidth", "deadline", "response",
+                 "matching", "fairness")
+
+
+def _sync5_doc(**changes):
+    """sync5 as a config document, with top-level keys replaced."""
+    return {**yaml.safe_load(emit(parse_scenario("sync5"))), **changes}
+
+
+def _row_by_row_csv(traj, path):
+    """The writer write_trajectory_csv replaced, one `%` call per row: the
+    reference its output must equal byte for byte."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(CSV_HEADER + "\n")
+        for r in range(len(traj)):
+            fh.write("%.17g,%s,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g\n" % (
+                traj.time[r], traj.app[r], traj.service[r], traj.bandwidth[r],
+                traj.deadline[r], traj.response[r], traj.matching[r],
+                traj.fairness[r]))
+
+
+def _assert_writers_agree(traj, tmp_path):
+    new, ref = tmp_path / "new.csv", tmp_path / "ref.csv"
+    write_trajectory_csv(traj, new)
+    _row_by_row_csv(traj, ref)
+    assert new.read_bytes() == ref.read_bytes()
+    return new
 
 
 class TestPresets:
@@ -144,6 +172,42 @@ apps:
         with pytest.raises(ConfigurationError, match=key):
             parse_scenario_text(text)
 
+    @pytest.mark.parametrize("edit, path", [
+        (lambda d: d.update(speed=1), "scenario.speed"),
+        (lambda d: d["platform"].update(steps=0.1), "platform.steps"),
+        (lambda d: d["apps"][0].update(update_job=2), "apps[0].update_job"),
+        (lambda d: d["apps"][1]["model"].update(dealine=5.0),
+         "apps[1].model.dealine"),
+        (lambda d: d.update(events=[{"time": 2000.0, "action": "leave",
+                                     "app": "app1", "at": 3}]),
+         "events[0].at"),
+        (lambda d: d.update(events=[{"time": 2000.0, "action": "join",
+                                     "app": dict(d["apps"][0], id="x",
+                                                 weights=1)}]),
+         "events[0].app.weights"),
+        (lambda d: d["platform"].update(cores=2.5), "platform.cores"),
+        (lambda d: d["apps"][2].update(update_jobs=2.5),
+         "apps[2].update_jobs"),
+        (lambda d: d.update(sample_stride=2.5), "scenario.sample_stride"),
+        (lambda d: d.update(sample_stride=True), "scenario.sample_stride"),
+        (lambda d: d.update(strict_bounds="no"), "scenario.strict_bounds"),
+        (lambda d: d.update(strict_bounds=1), "scenario.strict_bounds"),
+    ], ids=["top", "platform", "app", "model", "leave", "join", "cores",
+            "update_jobs", "stride-2.5", "stride-true", "strict-str",
+            "strict-int"])
+    def test_ignored_or_altered_field_rejected(self, edit, path):
+        doc = _sync5_doc()
+        edit(doc)
+        with pytest.raises(ConfigurationError, match=re.escape(path)):
+            scenario_from_dict(doc)
+
+    def test_integral_float_count_accepted(self):
+        doc = _sync5_doc(sample_stride=2.0)
+        doc["platform"]["cores"] = 2.0
+        s = scenario_from_dict(doc)
+        assert (s.sample_stride, s.platform.cores) == (2, 2)
+        assert type(s.sample_stride) is int and type(s.platform.cores) is int
+
     @pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"),
                         reason="PyYAML built without libyaml")
     def test_libyaml_and_python_loaders_agree(self):
@@ -210,6 +274,55 @@ class TestTrajectoryCsv:
             assert got.dtype == np.float64 and got.flags.c_contiguous, f
             assert np.array_equal(got.view(np.int64), col.view(np.int64)), f
         assert back.app.dtype == object and list(back.app) == list(ids)
+
+    @pytest.mark.parametrize("rows", [0, 1, 1023, 1024, 1025, 2049])
+    def test_matches_row_by_row_writer(self, tmp_path, rows):
+        rng = np.random.default_rng(rows)
+        # half the values come from a small pool, so chunks hold repeats
+        pool = rng.standard_normal(7) * 10.0 ** rng.integers(-5, 6, 7)
+        cols = {f: np.where(rng.random(rows) < 0.5,
+                            rng.choice(pool, rows),
+                            rng.standard_normal(rows) * 1e3)
+                for f in FLOAT_COLUMNS}
+        ids = rng.choice(np.array(["a", "b", "c#"], dtype=object), rows)
+        path = _assert_writers_agree(Trajectory(app=ids, **cols), tmp_path)
+        if rows == 0:
+            assert path.read_text() == CSV_HEADER + "\n"
+
+    def test_matches_row_by_row_writer_on_special_values(self, tmp_path):
+        special = [-0.0, 0.0, 0.0, -0.0, math.nan, -math.nan, math.inf,
+                   -math.inf, 5e-324, -5e-324, 2.2250738585072009e-308,
+                   1.0 / 3.0, 1.0 / 3.0, 0.1, -1.7976931348623157e308]
+        values = np.array(special * 3)
+        rows = len(values)
+        traj = Trajectory(
+            time=np.arange(rows) // 4,                     # int64 column
+            app=np.array(["x", "y", "z"] * (rows // 3), dtype=object),
+            service=np.resize(np.array(                    # float32 column
+                [-0.0, 0.0, math.nan, math.inf, 1e-45, 0.1, 0.1],
+                dtype=np.float32), rows),
+            bandwidth=values, deadline=np.full(rows, 1e4),
+            response=np.roll(values, 1), matching=np.roll(values, 2),
+            fairness=values[::-1])
+        _assert_writers_agree(traj, tmp_path)
+
+    def test_writer_memory_is_bounded_by_a_chunk(self, tmp_path):
+        # every value distinct: the most text any chunk can hold
+        rows = 100_000
+        rng = np.random.default_rng(0)
+        traj = Trajectory(app=np.array(["app1", "app2"] * (rows // 2),
+                                       dtype=object),
+                          **{f: rng.random(rows) for f in FLOAT_COLUMNS})
+        path = tmp_path / "t.csv"
+        tracemalloc.start()
+        try:
+            write_trajectory_csv(traj, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the file's text is ~15 MB; a whole-file join would hold all of it
+        assert path.stat().st_size > 10 * 2**20
+        assert peak < 3 * 2**20
 
     @pytest.mark.parametrize("body, what", [
         ("", "no data rows"),
@@ -347,6 +460,29 @@ apps:
         assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) \
             == EXIT_VALIDATION
         assert "apps[3]" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("edit, field", [
+        (lambda d: d.update(platform=[1]), "platform"),
+        (lambda d: d.update(events=[1]), "events[0]"),
+        (lambda d: d.update(events=5), "scenario.events"),
+        (lambda d: d.update(horizon="abc"), "scenario.horizon"),
+        (lambda d: d.update(rm_period="abc"), "scenario.rm_period"),
+        (lambda d: d["platform"].update(step="abc"), "platform.step"),
+        (lambda d: d.update(events=[{"time": "abc", "action": "leave",
+                                     "app": "app1"}]), "events[0].time"),
+        (lambda d: d["apps"][0].update(update_jobs=2**63), "update_jobs"),
+    ], ids=["platform-list", "event-int", "events-int", "horizon",
+            "rm_period", "step", "event-time", "update_jobs-2**63"])
+    def test_run_bad_field_exits_2_naming_it(self, tmp_path, capsys, edit,
+                                             field):
+        doc = _sync5_doc(horizon=5.0 * MS)
+        edit(doc)
+        cfg = tmp_path / "s.yaml"
+        cfg.write_text(yaml.safe_dump(doc))
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) \
+            == EXIT_VALIDATION
+        assert field in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_run_rejects_infinite_horizon(self, tmp_path, capsys):
