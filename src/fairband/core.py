@@ -215,8 +215,13 @@ class SystemState:
     def validated(self, specs: Sequence[ApplicationSpec], platform: PlatformSpec) -> "SystemState":
         cap = 1.0 / platform.cores
         v = self.bandwidths
-        if np.any(v < -SUM_TOL) or np.any(v > cap + SUM_TOL):
-            raise ConfigurationError("normalized bandwidths must lie in [0, 1/cores]")
+        bad = np.flatnonzero((v < -SUM_TOL) | (v > cap + SUM_TOL))
+        if len(bad):
+            i = bad[0]
+            raise ConfigurationError(
+                f"app {specs[i].id}: initial_bandwidth {v[i]} is outside "
+                f"[0, 1/cores] = [0, {cap}], with cores from platform.cores "
+                f"= {platform.cores}")
         for i, spec in enumerate(specs):
             if self.services[i] < spec.min_service - SUM_TOL:
                 raise ConfigurationError(

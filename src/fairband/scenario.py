@@ -166,11 +166,20 @@ def _want(d: Dict, key: str, path: str):
 
 
 def _float(value, where: str) -> float:
+    """A number; a YAML boolean is refused rather than read as 0 or 1."""
     try:
-        return float(value)
+        if not isinstance(value, bool):
+            return float(value)
     except (TypeError, ValueError):
-        raise ConfigurationError(
-            f"{where} must be a number, got {value!r}") from None
+        pass
+    raise ConfigurationError(f"{where} must be a number, got {value!r}")
+
+
+def _string(value, where: str) -> str:
+    """A YAML string; a number or boolean is refused rather than converted."""
+    if not isinstance(value, str):
+        raise ConfigurationError(f"{where} must be a string, got {value!r}")
+    return value
 
 
 def _integer(value, where: str) -> int:
@@ -202,7 +211,7 @@ def _parse_model(d, path: str) -> JobModel:
 def _parse_app(d, path: str) -> ApplicationSpec:
     _mapping(d, path, _APP_KEYS)
     fields = dict(
-        id=str(_want(d, "id", path)),
+        id=_string(_want(d, "id", path), f"{path}.id"),
         weight=_float(_want(d, "weight", path), f"{path}.weight"),
         min_service=_float(_want(d, "min_service", path),
                            f"{path}.min_service"),
@@ -229,7 +238,8 @@ def _parse_event(d, path: str) -> MembershipEvent:
         return MembershipEvent(
             t, "join", spec=_parse_app(_want(d, "app", path), f"{path}.app"))
     if action == "leave":
-        return MembershipEvent(t, "leave", app_id=str(_want(d, "app", path)))
+        app_id = _string(_want(d, "app", path), f"{path}.app")
+        return MembershipEvent(t, "leave", app_id=app_id)
     raise ConfigurationError(f"{path}.action must be join or leave")
 
 
@@ -261,12 +271,12 @@ def scenario_from_dict(doc: Dict) -> Scenario:
         rm_period=_float(_want(doc, "rm_period", "scenario"),
                          "scenario.rm_period"),
         horizon=_float(_want(doc, "horizon", "scenario"), "scenario.horizon"),
-        mode=str(doc.get("mode", "sync")),
+        mode=_string(doc.get("mode", "sync"), "scenario.mode"),
         events=tuple(events),
         strict_bounds=strict,
         sample_stride=_integer(doc.get("sample_stride", 1),
                                "scenario.sample_stride"),
-        name=str(doc.get("name", "scenario")),
+        name=_string(doc.get("name", "scenario"), "scenario.name"),
     )
 
 

@@ -31,10 +31,11 @@ MODES = ("sync", "async_compensated", "async_uncompensated")
 # caller of measure or kernel_step runs under this state.
 QUIET = dict(divide="ignore", invalid="ignore", over="ignore")
 
-# the most manager instants x apps one run may record. Each recorded
-# app-step holds six float64 values in its epoch block, then a time, an id
-# and the six values again in the joined Trajectory, about 120 bytes in all,
-# so this bounds a run's arrays at about 1.2 GB.
+# the most manager instants x apps one run may record. Each app-step holds
+# six float64 values in its epoch's full-resolution block (every instant,
+# whatever the stride), then a time, an id and the six values again in the
+# joined Trajectory, about 120 bytes in all, so this bounds a run's arrays
+# at about 1.2 GB.
 MAX_APP_STEPS = 10_000_000
 
 
@@ -302,7 +303,8 @@ def run_scenario(scenario) -> Trajectory:
 
     Membership events split the run into epochs with a fixed app set; each
     epoch compiles its apps and their due masks once and steps them with
-    kernel_step.
+    kernel_step. An epoch whose state repeats bit for bit after L instants,
+    L the lcm of its cadences, is filled by repetition from there on.
     """
     platform: PlatformSpec = scenario.platform
     specs: List[ApplicationSpec] = list(scenario.apps)
@@ -358,24 +360,36 @@ def run_scenario(scenario) -> Trajectory:
                 raise InvariantViolation(
                     "input state is not a feasible allocation", step=k0)
             since = np.array([joined[a.id] for a in specs], dtype=int)
-            keep = recorded[k0:k1]
-            rec = np.empty((np.count_nonzero(keep), len(VALUES), len(specs)))
+            rec = np.empty((k1 - k0, len(VALUES), len(specs)))
             cold = since == k0
-            j = 0
-            for k, due, kept in zip(range(k0, k1), due_mask(c, since, k0, k1),
-                                    keep.tolist()):
+            # past the cold start an instant's step depends only on the
+            # entering state and on the due masks, which repeat every L
+            # instants; so once the state entering i equals, bit for bit,
+            # the state entering i - L >= 1, every later row repeats the
+            # rows from i - L, and so does each post-step check
+            L = math.lcm(*c.cadence.tolist())
+            check, ref = L, None
+            for i, due in enumerate(due_mask(c, since, k0, k1)):
+                if i == check:
+                    # raw bytes, so that -0.0, nan and inf match exactly
+                    key = s.tobytes() + v.tobytes()
+                    if key == ref:
+                        rec[i:] = rec[i - L + np.arange(k1 - k0 - i) % L]
+                        last = i - L + (k1 - k0 - i) % L
+                        s, v = rec[last, 0].copy(), rec[last, 1].copy()
+                        break
+                    check, ref = i + L, key
                 r = kernel_step(c, s, v, due, cold)
                 cold = None
-                if kept:
-                    rec[j] = (s, v, r.deadline, r.response, r.matching,
-                              r.fairness)
-                    j += 1
+                rec[i] = (s, v, r.deadline, r.response, r.matching, r.fairness)
                 s, v = r.services, r.bandwidths
                 # rows within the sum limit are the clip alone, in the box
                 if r.total > limit and (v.sum() > limit or v.min() < -SUM_TOL
                                         or v.max() > c.upper + SUM_TOL):
                     raise InvariantViolation(
-                        "bandwidth allocation left the feasible set", step=k)
+                        "bandwidth allocation left the feasible set",
+                        step=k0 + i)
+            keep = recorded[k0:k1]
             blocks.append(((np.flatnonzero(keep) + k0) * period,
-                           [a.id for a in specs], rec))
+                           [a.id for a in specs], rec[keep]))
     return Trajectory.from_records(blocks, events, scenario.echo())

@@ -14,9 +14,9 @@ import pytest
 
 import fairband.adaptation as adaptation
 import fairband.simkernel as simkernel
-from fairband import (ConfigurationError, InvariantViolation, compile_apps,
-                      kernel_step, parse_scenario, parse_scenario_text,
-                      run_scenario)
+from fairband import (ConfigurationError, InvariantViolation,
+                      MembershipEvent, compile_apps, kernel_step,
+                      parse_scenario, parse_scenario_text, run_scenario)
 from fairband.cli import write_trajectory_csv
 from fairband.core import SUM_TOL
 from fairband.simkernel import QUIET, VALUES, due_mask
@@ -63,6 +63,22 @@ def _short(preset, instants=400, **changes):
                                **changes)
 
 
+def _tail_event(leave=3003, step=None):
+    """async3 over 5,001 instants at stride 4: app2 leaves at instant
+    `leave`, long after the first epoch settled into an exact cycle, so the
+    state carried across comes from the fill; an app with cadence 3 joins
+    at the next instant."""
+    s = _short("async3", instants=5001, sample_stride=4)
+    if step is not None:
+        s = dataclasses.replace(s, platform=dataclasses.replace(s.platform,
+                                                                step=step))
+    late = dataclasses.replace(s.apps[1], id="late", update_jobs=3,
+                               initial_bandwidth=None)
+    return dataclasses.replace(s, events=(
+        MembershipEvent(leave * s.rm_period, "leave", app_id="app2"),
+        MembershipEvent((leave + 1) * s.rm_period, "join", spec=late)))
+
+
 PINNED = {
     "sync5": (lambda: _short("sync5"),
         "d68892aa7e5d9ae4d60903d9f3534ba21918ba3e0a8685021f9d5199086b020a"),
@@ -76,6 +92,21 @@ PINNED = {
     # a step this large clips bandwidths, removes excess and starves apps
     "mixed-step-1.5": (lambda: _mixed(step=1.5),
         "2e3d4bc51652a9714b940665f8a712ea463ec262147a20480257fd81de3fff95"),
+    # these settle into an exact cycle from instant 1,035 (1,036 in sync);
+    # their digests were recorded before settled epochs were filled
+    "async3-5e7-compensated": (lambda: _short("async3", instants=5001),
+        "dc7fb3ff11a20a9fab8d45ef525701eb1af8a3fb84b047edb6911be4a44e29c7"),
+    "async3-5e7-sync": (lambda: _short("async3", instants=5001, mode="sync"),
+        "046ed2f14003edc22b4d99c508785dd679e54dec539541cc669971ccdc8db610"),
+    # the first epoch is filled from instant 1,050 at a fixed point and
+    # carries its state 3 instants into the 10-instant cycle
+    "tail-event": (_tail_event,
+        "6d76e4e43f867db808ff7c94038295be10ba0cec19e08487fc0a78ae8e3b9284"),
+    # at step 1.0 the first epoch settles into a 2-cycle from instant 48 and
+    # is filled from 60; the state it carries is 1 instant into the cycle,
+    # which differs from the state at the instant the fill began
+    "tail-event-2-cycle": (lambda: _tail_event(leave=1001, step=1.0),
+        "6f564de7d378612071eec35f47f37facb2715d990ffc1ff72783b62f21bf314d"),
 }
 
 
@@ -85,6 +116,44 @@ def test_trajectory_digest_pinned(name, tmp_path):
     path = tmp_path / "trajectory.csv"
     write_trajectory_csv(run_scenario(build()), path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+def _count_steps(monkeypatch):
+    calls = [0]
+    step = simkernel.kernel_step
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return step(*args, **kwargs)
+
+    monkeypatch.setattr(simkernel, "kernel_step", counted)
+    return calls
+
+
+def test_settled_epoch_is_filled_not_stepped(monkeypatch):
+    calls = _count_steps(monkeypatch)
+    run_scenario(_short("async3", instants=5001))
+    assert calls[0] <= 1100
+
+
+def test_unsettled_run_steps_every_instant(monkeypatch):
+    # sync5's state never repeats bit for bit over its 5,001 instants
+    s = parse_scenario("sync5")
+    calls = _count_steps(monkeypatch)
+    run_scenario(s)
+    assert calls[0] == s.steps
+
+
+def test_stride_takes_every_kth_row_across_the_fill():
+    full = run_scenario(_short("async3", instants=5001))
+    strided = run_scenario(_short("async3", instants=5001, sample_stride=7))
+    n = 3
+    instants = np.append(np.arange(0, 5001, 7), 5000)
+    rows = (instants[:, None] * n + np.arange(n)).ravel()
+    assert np.array_equal(strided.app, full.app[rows])
+    for name in COLUMNS:
+        assert np.array_equal(getattr(strided, name).view(np.int64),
+                              getattr(full, name)[rows].view(np.int64)), name
 
 
 def _every_app_each_instant(s):

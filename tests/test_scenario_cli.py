@@ -485,6 +485,43 @@ apps:
         assert field in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    # a YAML scalar of the wrong type is refused, not coerced by float() or
+    # str(); the leave names an app whose id is the string "16", which a
+    # coerced 16 would match
+    @pytest.mark.parametrize("edit, field", [
+        (lambda d: d["apps"][0].update(weight=True), "apps[0].weight"),
+        (lambda d: d["apps"][1].update(id=16), "apps[1].id"),
+        (lambda d: (d["apps"][1].update(id="16"), d.update(events=[
+            {"time": 2.0 * MS, "action": "leave", "app": 16}])),
+         "events[0].app"),
+        (lambda d: d.update(mode=1), "scenario.mode"),
+        (lambda d: d.update(name=16), "scenario.name"),
+    ], ids=["weight-bool", "id-int", "leave-int", "mode-int", "name-int"])
+    def test_run_coerced_scalar_exits_2_naming_it(self, tmp_path, capsys,
+                                                  edit, field):
+        doc = _sync5_doc(horizon=5.0 * MS)
+        edit(doc)
+        cfg = tmp_path / "s.yaml"
+        cfg.write_text(yaml.safe_dump(doc))
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) \
+            == EXIT_VALIDATION
+        assert field in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_run_bandwidth_over_core_cap_names_cores_and_app(self, tmp_path,
+                                                             capsys):
+        # every sync5 app starts at 0.2, far above 1/cores here
+        doc = _sync5_doc(horizon=5.0 * MS)
+        doc["platform"]["cores"] = 2**63 - 1
+        cfg = tmp_path / "s.yaml"
+        cfg.write_text(yaml.safe_dump(doc))
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) \
+            == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "platform.cores" in err and "app1" in err
+        assert "initial_bandwidth" in err
+        assert not (tmp_path / "out").exists()
+
     def test_run_rejects_infinite_horizon(self, tmp_path, capsys):
         assert main(["run", "async3", "--horizon", "inf",
                      "--out", str(tmp_path / "out")]) == EXIT_VALIDATION
