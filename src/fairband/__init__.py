@@ -17,8 +17,7 @@ from .simkernel import (Coefficients, MembershipEvent, Trajectory,
 from .reference import (BalanceThresholds, StationaryPoint, TheoreticalBounds,
                         asymptotic_fair_share, balance_thresholds,
                         compute_bounds, equivalence_bound, integrate_ode,
-                        lyapunov_value, solve_stationary_point,
-                        starvation_step_threshold)
+                        solve_stationary_point, starvation_step_threshold)
 from .analysis import (InterpolatedPath, InvariantReport, convergence_report,
                        interpolate, sup_deviation, sup_deviation_per_app,
                        sweep_invariants)

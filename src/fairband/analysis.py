@@ -3,13 +3,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from .core import SUM_TOL, ApplicationSpec, PlatformSpec
+from .core import SUM_TOL, PlatformSpec
 from .errors import ConfigurationError
-from .reference import StationaryPoint, TheoreticalBounds, lyapunov_value
 from .simkernel import Trajectory
 
 
@@ -80,38 +79,14 @@ class InvariantReport:
     balance_contained_at: Optional[float]
     max_sum: float
     min_bandwidth: float
-    lyapunov_monotone_after: Optional[float]
-
-    def to_dict(self) -> Dict:
-        return {
-            "feasibility_ok": self.feasibility_ok,
-            "starvation_ok": self.starvation_ok,
-            "balance_ok": self.balance_ok,
-            "feasibility_violation_at": self.feasibility_violation_at,
-            "starvation_violation_at": self.starvation_violation_at,
-            "balance_contained_at": self.balance_contained_at,
-            "max_sum": self.max_sum,
-            "min_bandwidth": self.min_bandwidth,
-            "lyapunov_monotone_after": self.lyapunov_monotone_after,
-        }
 
 
-def _per_instant(trajectory: Trajectory):
-    times, inverse = np.unique(trajectory.time, return_inverse=True)
-    return times, inverse
-
-
-def sweep_invariants(trajectory: Trajectory,
-                     specs: Sequence[ApplicationSpec],
-                     platform: PlatformSpec,
-                     bounds: TheoreticalBounds,
-                     zeta: Optional[float] = None,
-                     target: Optional[StationaryPoint] = None
-                     ) -> InvariantReport:
+def sweep_invariants(trajectory: Trajectory, platform: PlatformSpec,
+                     zeta: Optional[float] = None) -> InvariantReport:
     """Check the run against the feasibility, starvation and balance
-    guarantees, plus distance-to-target monotonicity when a target is given."""
+    guarantees."""
     v = trajectory.bandwidth
-    times, inv = _per_instant(trajectory)
+    times, inv = np.unique(trajectory.time, return_inverse=True)
     sums = np.bincount(inv, weights=v, minlength=len(times))
     cap = 1.0 / platform.cores
 
@@ -145,20 +120,6 @@ def sweep_invariants(trajectory: Trajectory,
         else:
             contained_at = float(times[0])
 
-    monotone_after = None
-    if target is not None:
-        n = len(target.bandwidths)
-        W = np.array([
-            lyapunov_value(v[inv == m], target) for m in range(len(times))
-        ]) if len(trajectory) != len(times) * n else \
-            0.5 * np.sum((v.reshape(len(times), n)
-                          - target.bandwidths) ** 2, axis=1)
-        rises = np.flatnonzero(W[1:] > W[:-1] * (1.0 + 1e-9) + 1e-15)
-        if rises.size == 0:
-            monotone_after = float(times[0])
-        elif rises[-1] + 1 < len(times):
-            monotone_after = float(times[rises[-1] + 1])
-
     return InvariantReport(
         feasibility_ok=feas_ok,
         starvation_ok=starve_ok,
@@ -168,41 +129,40 @@ def sweep_invariants(trajectory: Trajectory,
         balance_contained_at=contained_at,
         max_sum=float(sums.max()) if sums.size else 0.0,
         min_bandwidth=float(v.min()) if v.size else 0.0,
-        lyapunov_monotone_after=monotone_after,
     )
 
 
-def convergence_report(trajectory: Trajectory, target,
-                       tol: float, window: int = 100
+def convergence_report(trajectory: Trajectory, goal, tol: float,
+                       window: int = 100
                        ) -> Tuple[bool, Optional[float], Dict[str, float]]:
-    """Did the bandwidths settle at the target?
+    """Did the bandwidths settle at the goal?
 
     Settled means the final `window` manager instants all stay within tol of
-    the target in max norm. Returns (settled, settle time, final |fairness|
-    per app). The target is a StationaryPoint or a plain bandwidth vector
-    ordered like the trajectory's apps.
+    the goal bandwidth vector in max norm. Returns (settled, settle time,
+    final |fairness| per app). The goal is ordered like the apps of every
+    recorded instant; unless every instant holds the same ids in the same
+    order, there is no verdict: (False, None, {}).
     """
     if not (tol > 0.0):
         raise ConfigurationError("tol must be positive")
-    goal = np.asarray(target.bandwidths if isinstance(target, StationaryPoint)
-                      else target, dtype=float)
-    times, inv = _per_instant(trajectory)
+    goal = np.asarray(goal, dtype=float)
     n = goal.shape[0]
-    if len(trajectory) != len(times) * n:
-        raise ConfigurationError(
-            "convergence_report requires a constant app set over the run")
-    V = trajectory.bandwidth.reshape(len(times), n)
+    T, extra = divmod(len(trajectory), n)
+    app, time = trajectory.app, trajectory.time
+    if extra or not ((app.reshape(T, n) == app[:n]).all()
+                     and (time.reshape(T, n) == time[::n, None]).all()):
+        return False, None, {}
+    times = time[::n]
+    V = trajectory.bandwidth.reshape(T, n)
     err = np.max(np.abs(V - goal), axis=1)
     within = err <= tol
-    settled = bool(within[-min(window, len(times)):].all())
+    settled = bool(within[-min(window, T):].all())
     settle_time: Optional[float] = None
     bad = np.flatnonzero(~within)
     if within.all():
         settle_time = float(times[0])
-    elif bad[-1] + 1 < len(times):
+    elif bad[-1] + 1 < T:
         settle_time = float(times[bad[-1] + 1])
-    last = times[-1]
-    mask = trajectory.time == last
     residuals = {str(a): abs(float(p)) for a, p in
-                 zip(trajectory.app[mask], trajectory.fairness[mask])}
+                 zip(app[-n:], trajectory.fairness[-n:])}
     return settled, settle_time, residuals

@@ -125,14 +125,13 @@ def run_bundle(scenario: scen.Scenario, out_dir: Path) -> OutputBundle:
     bounds = reference.compute_bounds(scenario.apps, scenario.platform,
                                       n_bar=max(a.update_jobs
                                                 for a in scenario.apps))
-    report_obj = analysis.sweep_invariants(traj, scenario.apps,
-                                           scenario.platform, bounds)
+    report_obj = analysis.sweep_invariants(traj, scenario.platform)
     lam = [a.weight for a in scenario.apps]
     shares = reference.asymptotic_fair_share(lam, scenario.platform.cores)
     summary: Dict = {
         "scenario": scenario.echo(),
         "bounds": dataclasses.asdict(bounds),
-        "invariants": report_obj.to_dict(),
+        "invariants": dataclasses.asdict(report_obj),
     }
     last_t = traj.time[-1]
     mask = traj.time == last_t
@@ -143,9 +142,7 @@ def run_bundle(scenario: scen.Scenario, out_dir: Path) -> OutputBundle:
                                  zip(traj.app[mask], traj.service[mask])}
     if len(final_v) == len(scenario.apps):
         settled, settle_time, residuals = analysis.convergence_report(
-            traj, np.asarray(shares), tol=0.02) \
-            if _constant_population(traj, len(scenario.apps)) \
-            else (False, None, {})
+            traj, shares, tol=0.02)
         gaps = {a.id: final_v[a.id] - float(shares[i])
                 for i, a in enumerate(scenario.apps) if a.id in final_v}
         summary["convergence"] = {
@@ -166,11 +163,6 @@ def run_bundle(scenario: scen.Scenario, out_dir: Path) -> OutputBundle:
         json.dump(_jsonable(summary), fh, indent=2)
         fh.write("\n")
     return OutputBundle(traj_path, summary_path, summary)
-
-
-def _constant_population(traj: Trajectory, n: int) -> bool:
-    times = np.unique(traj.time)
-    return len(traj) == len(times) * n
 
 
 def compare_bundles(dir_a: Path, dir_b: Path) -> Dict:

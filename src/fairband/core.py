@@ -45,7 +45,7 @@ def classify_matching(f: float, delta: float) -> str:
     return PERFECT
 
 
-def fairness_vector(matchings, bandwidths, weights, cores: int = 1) -> np.ndarray:
+def fairness_vector(matchings, bandwidths, weights) -> np.ndarray:
     """Weighted imbalance of every app; the last axis is the app axis.
 
     F_i = -(1 - vbar_i) * lam_i * min(phi_i, 0)
@@ -248,5 +248,5 @@ def is_fair_allocation(state: SystemState,
                          platform.cores * state.bandwidths[i])
         for i, a in enumerate(specs)
     ])
-    res = fairness_vector(phi, state.bandwidths, lam, platform.cores)
+    res = fairness_vector(phi, state.bandwidths, lam)
     return bool(np.max(np.abs(res)) <= tol)

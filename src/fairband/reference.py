@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -97,7 +97,7 @@ def _stationary_residuals(vbar: np.ndarray, specs, platform) -> np.ndarray:
                          platform.cores * vbar[i])
         for i, a in enumerate(specs)
     ])
-    return fairness_vector(phi, vbar, lam, platform.cores)
+    return fairness_vector(phi, vbar, lam)
 
 
 def solve_stationary_point(specs: Sequence[ApplicationSpec],
@@ -199,15 +199,6 @@ def balance_thresholds(zeta: float, specs: Sequence[ApplicationSpec],
     return BalanceThresholds(zeta, gamma, int(n1), int(n2), int(max(n1, n2)))
 
 
-def lyapunov_value(bandwidths: Sequence[float], target: StationaryPoint) -> float:
-    """Squared distance to the stationary allocation, halved."""
-    v = np.asarray(bandwidths, dtype=float)
-    if v.shape != target.bandwidths.shape:
-        raise ConfigurationError("bandwidth vector length does not match the target")
-    d = v - target.bandwidths
-    return 0.5 * float(d @ d)
-
-
 def equivalence_bound(step: float, ell: float,
                       n_bar: int) -> Tuple[float, float]:
     """Sup-deviation bounds between the async, fictitious-sync and true sync
@@ -219,8 +210,7 @@ def equivalence_bound(step: float, ell: float,
 
 def integrate_ode(initial: SystemState, specs: Sequence[ApplicationSpec],
                   platform: PlatformSpec, tau_step: float, horizon: float,
-                  rm_period: Optional[float] = None,
-                  config: Optional[Dict] = None) -> Trajectory:
+                  rm_period: Optional[float] = None) -> Trajectory:
     """Projected explicit Euler on the coupled field (service rate, fairness).
 
     The field is evaluated through the job model, so with tau_step equal to
@@ -261,5 +251,4 @@ def integrate_ode(initial: SystemState, specs: Sequence[ApplicationSpec],
             v = project_bandwidth(v + tau_step * Phi, c.upper)[0]
             s = project_service(c, s + tau_step * phi)
     return Trajectory.from_records(
-        [(np.arange(steps) * period, [a.id for a in specs], rec)], [],
-        dict(config or {}))
+        [(np.arange(steps) * period, [a.id for a in specs], rec)])

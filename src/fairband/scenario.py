@@ -9,8 +9,8 @@ time-units. Parsed scenarios always carry time-unit values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, Tuple
 
 import numpy as np
 import yaml
@@ -55,6 +55,10 @@ class Scenario:
                 f"horizon must be positive and finite, got {self.horizon}")
         if self.sample_stride < 1:
             raise ConfigurationError("sample_stride must be >= 1")
+        for i, e in enumerate(self.events):
+            if not math.isfinite(e.time):
+                raise ConfigurationError(
+                    f"events[{i}].time must be finite, got {e.time}")
         # the Euler oracle records every instant of a fixed app set
         if self.mode == "ode_reference" and self.events:
             raise ConfigurationError("events are not supported in mode ode_reference")

@@ -10,7 +10,7 @@ and may join or leave mid-run.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -222,8 +222,6 @@ class Trajectory:
     response: np.ndarray
     matching: np.ndarray
     fairness: np.ndarray
-    events: List[MembershipEvent] = field(default_factory=list)
-    config: Dict = field(default_factory=dict)
 
     def __len__(self) -> int:
         return len(self.time)
@@ -247,7 +245,7 @@ class Trajectory:
         return list(self._groups[0])
 
     @classmethod
-    def from_records(cls, blocks, events, config) -> "Trajectory":
+    def from_records(cls, blocks) -> "Trajectory":
         """Join recorded epochs. Each block is (instant times, app ids, an
         (instants, len(VALUES), apps) array of the VALUES columns)."""
         return cls(
@@ -256,8 +254,7 @@ class Trajectory:
             app=np.concatenate([np.tile(np.array(ids, dtype=object), len(t))
                                 for t, ids, _ in blocks]),
             **{name: np.concatenate([rec[:, j].ravel() for *_, rec in blocks])
-               for j, name in enumerate(VALUES)},
-            events=events, config=config)
+               for j, name in enumerate(VALUES)})
 
     def per_app(self, fieldname: str) -> Dict[str, Tuple[np.ndarray, np.ndarray]]:
         """Split a column into per-app (times, values) pairs in row order; an
@@ -315,33 +312,29 @@ def run_scenario(scenario) -> Trajectory:
             raise ConfigurationError(
                 f"strict mode: step {platform.step} not below the starvation "
                 f"guard {guard}")
+    state = scenario.initial_state().validated(specs, platform)
     if scenario.mode == "ode_reference":
         from .reference import integrate_ode
-        return integrate_ode(scenario.initial_state(), specs, platform,
-                             platform.step, scenario.horizon,
-                             rm_period=scenario.rm_period,
-                             config=scenario.echo())
+        return integrate_ode(state, specs, platform, platform.step,
+                             scenario.horizon, rm_period=scenario.rm_period)
     period = scenario.rm_period
     steps = scenario.steps
     check_budget(steps, len(specs) + sum(e.action == "join"
                                          for e in scenario.events))
-    events = sorted(scenario.events, key=lambda e: e.time)
-    for e in events:
+    # an event applies at the instant nearest its time, which must lie
+    # within 1e-9 periods of it; one before the run applies at instant 0
+    by_instant: Dict[int, List[MembershipEvent]] = {}
+    for e in sorted(scenario.events, key=lambda e: e.time):
         r = e.time / period
-        if abs(r - round(r)) > 1e-9:
+        k = round(r)
+        if abs(r - k) > 1e-9:
             raise ConfigurationError(
                 f"membership event at {e.time} is not aligned to a manager instant")
-    # an event applies at the first instant k with time <= (k + 1e-9) * period
-    at = np.searchsorted(np.arange(steps) * period + 1e-9 * period,
-                         [e.time for e in events])
-    by_instant: Dict[int, List[MembershipEvent]] = {}
-    for k, e in zip(at, events):
-        by_instant.setdefault(int(k), []).append(e)
+        by_instant.setdefault(max(0, k), []).append(e)
     recorded = np.zeros(steps, dtype=bool)
     recorded[::scenario.sample_stride] = True
     recorded[-1] = True
 
-    state = scenario.initial_state().validated(specs, platform)
     s, v = state.services, state.bandwidths
     joined = {a.id: 0 for a in specs}
     edges = sorted({0, steps, *(k for k in by_instant if k < steps)})
@@ -392,4 +385,4 @@ def run_scenario(scenario) -> Trajectory:
             keep = recorded[k0:k1]
             blocks.append(((np.flatnonzero(keep) + k0) * period,
                            [a.id for a in specs], rec[keep]))
-    return Trajectory.from_records(blocks, events, scenario.echo())
+    return Trajectory.from_records(blocks)

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from fairband import (ApplicationSpec, ConfigurationError, JobModel,
-                      PlatformSpec, Scenario, compute_bounds,
-                      convergence_report, interpolate, run_scenario,
+                      PlatformSpec, Scenario, convergence_report,
+                      interpolate, run_scenario,
                       solve_stationary_point, sup_deviation,
                       sup_deviation_per_app, sweep_invariants)
 from fairband.analysis import InterpolatedPath
@@ -130,66 +130,52 @@ class TestSupDeviation:
 
 
 class TestSweepInvariants:
-    def _bounds(self):
-        model = JobModel(kind="multimedia", alpha=1000.0, deadline=800.0)
-        specs = [ApplicationSpec(id="a0", weight=0.9, min_service=1.0,
-                                 initial_service=1.0, model=model)]
-        return specs, compute_bounds(specs, PlatformSpec(step=0.01))
-
     def test_clean_run(self):
-        specs, bounds = self._bounds()
         traj = _fake_trajectory(
             [0.0, 1.0, 2.0],
             [{"a0": 0.5}, {"a0": 0.6}, {"a0": 0.55}])
-        rep = sweep_invariants(traj, specs, PlatformSpec(step=0.01), bounds)
+        rep = sweep_invariants(traj, PlatformSpec(step=0.01))
         assert rep.feasibility_ok and rep.starvation_ok
         assert rep.max_sum == 0.6
         assert rep.min_bandwidth == 0.5
 
     def test_feasibility_violation_timestamped(self):
-        specs, bounds = self._bounds()
         traj = _fake_trajectory(
             [0.0, 1.0, 2.0],
             [{"a0": 0.5, "a1": 0.4}, {"a0": 0.7, "a1": 0.4}, {"a0": 0.5, "a1": 0.4}])
-        rep = sweep_invariants(traj, specs, PlatformSpec(step=0.01), bounds)
+        rep = sweep_invariants(traj, PlatformSpec(step=0.01))
         assert not rep.feasibility_ok
         assert rep.feasibility_violation_at == 1.0
 
     def test_starvation_violation_timestamped(self):
-        specs, bounds = self._bounds()
         traj = _fake_trajectory(
             [0.0, 1.0], [{"a0": 0.5}, {"a0": 0.005}])
-        rep = sweep_invariants(traj, specs, PlatformSpec(step=0.01), bounds)
+        rep = sweep_invariants(traj, PlatformSpec(step=0.01))
         assert not rep.starvation_ok
         assert rep.starvation_violation_at == 1.0
 
     def test_balance_containment(self):
-        specs, bounds = self._bounds()
         traj = _fake_trajectory(
             [0.0, 1.0, 2.0, 3.0],
             [{"a0": 0.5}, {"a0": 0.2}, {"a0": 0.09}, {"a0": 0.08}])
-        rep = sweep_invariants(traj, specs, PlatformSpec(step=0.01), bounds,
-                               zeta=0.1)
+        rep = sweep_invariants(traj, PlatformSpec(step=0.01), zeta=0.1)
         assert rep.balance_ok
         assert rep.balance_contained_at == 2.0
 
     def test_balance_escape_detected(self):
-        specs, bounds = self._bounds()
         traj = _fake_trajectory(
             [0.0, 1.0, 2.0],
             [{"a0": 0.09}, {"a0": 0.2}, {"a0": 0.2}])
-        rep = sweep_invariants(traj, specs, PlatformSpec(step=0.01), bounds,
-                               zeta=0.1)
+        rep = sweep_invariants(traj, PlatformSpec(step=0.01), zeta=0.1)
         assert not rep.balance_ok
 
     def test_matches_brute_force_recheck(self):
         rng = np.random.default_rng(4)
-        specs, bounds = self._bounds()
         platform = PlatformSpec(step=0.05)
         for _ in range(20):
             vals = rng.uniform(0.0, 0.8, 6)
             traj = _fake_trajectory(range(6), [{"a0": v} for v in vals])
-            rep = sweep_invariants(traj, specs, platform, bounds)
+            rep = sweep_invariants(traj, platform)
             assert rep.feasibility_ok == all(0 <= v <= 1 for v in vals)
             assert rep.starvation_ok == all(v > platform.step for v in vals)
             assert rep.max_sum == vals.max()
@@ -227,7 +213,8 @@ class TestConvergenceReport:
         traj = run_scenario(Scenario(platform=platform, apps=apps,
                                      rm_period=1.0, horizon=4000.0))
         point = solve_stationary_point(apps, platform)
-        settled, at, residuals = convergence_report(traj, point, 0.02)
+        settled, at, residuals = convergence_report(traj, point.bandwidths,
+                                                   0.02)
         assert settled
         assert at is not None and at < 4000.0
         assert max(residuals.values()) < 0.05

@@ -17,7 +17,7 @@ import fairband.simkernel as simkernel
 from fairband import (ConfigurationError, InvariantViolation,
                       MembershipEvent, compile_apps, kernel_step,
                       parse_scenario, parse_scenario_text, run_scenario)
-from fairband.cli import write_trajectory_csv
+from fairband.cli import run_bundle, write_trajectory_csv
 from fairband.core import SUM_TOL
 from fairband.simkernel import QUIET, VALUES, due_mask
 
@@ -116,6 +116,23 @@ def test_trajectory_digest_pinned(name, tmp_path):
     path = tmp_path / "trajectory.csv"
     write_trajectory_csv(run_scenario(build()), path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+# summary.json as run_bundle writes it: the invariant sweep, bounds,
+# final values and the convergence verdict of three pinned runs
+SUMMARY_PINNED = {
+    "sync5": "d5809c2d1aad04fccf4d7772106f6b2f900872225857d52e126493863c32cd44",
+    "async3-5e7-compensated":
+        "dbf2ff2d8372d951df437bda947a9ce3190c0588527e5121c6787ae13bc651bf",
+    "mixed": "8c42e04e646b9e64a0b9d300afe587914ac0537ae68ef3b33c3e3a22a20fad9c",
+}
+
+
+@pytest.mark.parametrize("name", SUMMARY_PINNED)
+def test_summary_digest_pinned(name, tmp_path):
+    bundle = run_bundle(PINNED[name][0](), tmp_path)
+    assert hashlib.sha256(bundle.summary_path.read_bytes()).hexdigest() \
+        == SUMMARY_PINNED[name]
 
 
 def _count_steps(monkeypatch):

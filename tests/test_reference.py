@@ -5,9 +5,8 @@ import pytest
 
 from fairband import (ApplicationSpec, ConfigurationError, JobModel,
                       PlatformSpec, asymptotic_fair_share, balance_thresholds,
-                      compute_bounds, equivalence_bound, integrate_ode, lyapunov_value, make_state,
+                      compute_bounds, equivalence_bound, integrate_ode, make_state,
                       solve_stationary_point, starvation_step_threshold)
-from fairband.reference import StationaryPoint
 
 
 def _demanding(weights, ratio=0.8, floor=1.0):
@@ -158,26 +157,6 @@ class TestBalanceThresholds:
             bt = balance_thresholds(zeta, specs, platform, bounds)
             products.append(zeta * bt.n_star)
         assert max(products) / min(products) < 2.0
-
-
-class TestLyapunov:
-    def _target(self, v):
-        v = np.asarray(v, float)
-        return StationaryPoint(np.ones_like(v), v, np.zeros_like(v), set())
-
-    def test_zero_at_target(self):
-        assert lyapunov_value([0.3, 0.7], self._target([0.3, 0.7])) == 0
-
-    def test_hand_evaluated(self):
-        assert lyapunov_value([0.5, 0.5], self._target([0.3, 0.7])) == \
-            pytest.approx(0.04, abs=1e-15)
-
-    def test_non_negative(self):
-        rng = np.random.default_rng(2)
-        for _ in range(50):
-            v = rng.uniform(0, 1, 4)
-            t = rng.uniform(0, 1, 4)
-            assert lyapunov_value(v, self._target(t)) >= 0
 
 
 class TestEquivalenceBound:

@@ -472,8 +472,13 @@ apps:
         (lambda d: d.update(events=[{"time": "abc", "action": "leave",
                                      "app": "app1"}]), "events[0].time"),
         (lambda d: d["apps"][0].update(update_jobs=2**63), "update_jobs"),
+    ] + [
+        (lambda d, t=t: d.update(events=[{"time": t, "action": "leave",
+                                          "app": "app1"}]), "events[0].time")
+        for t in (math.nan, math.inf, -math.inf)
     ], ids=["platform-list", "event-int", "events-int", "horizon",
-            "rm_period", "step", "event-time", "update_jobs-2**63"])
+            "rm_period", "step", "event-time", "update_jobs-2**63",
+            "event-time-nan", "event-time-inf", "event-time--inf"])
     def test_run_bad_field_exits_2_naming_it(self, tmp_path, capsys, edit,
                                              field):
         doc = _sync5_doc(horizon=5.0 * MS)
@@ -520,6 +525,18 @@ apps:
         err = capsys.readouterr().err
         assert "platform.cores" in err and "app1" in err
         assert "initial_bandwidth" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_ode_reference_validates_the_initial_state(self, tmp_path,
+                                                       capsys):
+        doc = _sync5_doc(horizon=5.0 * MS)
+        doc["platform"]["cores"] = 2**63 - 1
+        cfg = tmp_path / "s.yaml"
+        cfg.write_text(yaml.safe_dump(doc))
+        assert main(["run", str(cfg), "--mode", "ode_reference",
+                     "--out", str(tmp_path / "out")]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "platform.cores" in err and "app1" in err
         assert not (tmp_path / "out").exists()
 
     def test_run_rejects_infinite_horizon(self, tmp_path, capsys):
@@ -599,3 +616,20 @@ apps:
         summary = json.loads((out / "summary.json").read_text())
         gaps = summary["convergence"]["fair_share_gap"]
         assert gaps["app1"] > 0.0
+
+    def test_swapped_app_set_gets_no_settle_verdict(self, tmp_path):
+        # app5 leaves and app6 joins at the same instant: the row count per
+        # instant stays 5, but the bandwidth column changes app
+        doc = _sync5_doc(horizon=2000.0 * MS)
+        doc["events"] = [
+            {"time": 1000.0 * MS, "action": "leave", "app": "app5"},
+            {"time": 1000.0 * MS, "action": "join",
+             "app": dict(doc["apps"][4], id="app6")}]
+        cfg = tmp_path / "s.yaml"
+        cfg.write_text(yaml.safe_dump(doc))
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--out", str(out)]) == EXIT_OK
+        conv = json.loads((out / "summary.json").read_text())["convergence"]
+        assert conv["settled"] is False
+        assert conv["settle_time"] is None
+        assert conv["final_fairness_residuals"] == {}
