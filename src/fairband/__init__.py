@@ -8,8 +8,7 @@ checkers for every derived guarantee.
 """
 
 from .core import (ApplicationSpec, JobModel, PlatformSpec, SystemState,
-                   classify_matching, fairness_vector, is_fair_allocation,
-                   is_feasible, make_state, nominal_matching)
+                   fairness_vector, is_feasible, make_state)
 from .adaptation import RmUpdateResult, rm_step
 from .simkernel import (Coefficients, MembershipEvent, Trajectory,
                         apply_membership_event, compile_apps, kernel_step,
@@ -18,9 +17,8 @@ from .reference import (BalanceThresholds, StationaryPoint, TheoreticalBounds,
                         asymptotic_fair_share, balance_thresholds,
                         compute_bounds, equivalence_bound, integrate_ode,
                         solve_stationary_point, starvation_step_threshold)
-from .analysis import (InterpolatedPath, InvariantReport, convergence_report,
-                       interpolate, sup_deviation, sup_deviation_per_app,
-                       sweep_invariants)
+from .analysis import (InvariantReport, convergence_report, interpolate,
+                       sup_deviation_per_app, sweep_invariants)
 from .scenario import PRESETS, Scenario, emit, parse_scenario, parse_scenario_text
 from .errors import (AdmissionError, ConfigurationError, ConvergenceError,
                      FairbandError, InvariantViolation)

@@ -11,62 +11,38 @@ from .core import SUM_TOL, PlatformSpec
 from .errors import ConfigurationError
 from .simkernel import Trajectory
 
-
-@dataclass(frozen=True)
-class InterpolatedPath:
-    """Piecewise-constant per-app paths over time.
-
-    The value over [t_k, t_{k+1}) is the t_k sample (left-closed intervals).
-    """
-    values: Dict[str, Tuple[np.ndarray, np.ndarray]]
-
-    def app_ids(self):
-        return list(self.values)
-
-    def value_at(self, app_id: str, t: float) -> float:
-        times, vals = self.values[app_id]
-        i = int(np.searchsorted(times, t, side="right")) - 1
-        if i < 0:
-            raise ConfigurationError(
-                f"time {t} precedes the first sample of app {app_id!r}")
-        return float(vals[i])
+# {app id: (times, values)}: per-app paths, piecewise constant with the value
+# over [t_k, t_{k+1}) being the t_k sample
+Paths = Dict[str, Tuple[np.ndarray, np.ndarray]]
 
 
-def interpolate(trajectory: Trajectory, field: str) -> InterpolatedPath:
-    """Piecewise-constant interpolation of one trajectory column."""
+def interpolate(trajectory: Trajectory, field: str) -> Paths:
+    """One trajectory column as per-app paths."""
     if len(trajectory) == 0:
         raise ConfigurationError("cannot interpolate an empty trajectory")
     if field not in ("service", "bandwidth", "matching", "fairness"):
         raise ConfigurationError(f"unsupported field {field!r}")
-    return InterpolatedPath(trajectory.per_app(field))
+    return trajectory.per_app(field)
 
 
-def sup_deviation_per_app(path_a: InterpolatedPath, path_b: InterpolatedPath,
+def sup_deviation_per_app(paths_a: Paths, paths_b: Paths,
                           horizon: float) -> Dict[str, float]:
     """Exact sup over [0, horizon] of |a(t) - b(t)| per app.
 
     Both paths are piecewise constant, so the sup is attained on the merged
     breakpoint grid.
     """
-    if set(path_a.values) != set(path_b.values):
+    if set(paths_a) != set(paths_b):
         raise ConfigurationError("paths cover different app sets")
     out = {}
-    for aid in path_a.values:
-        ta, va = path_a.values[aid]
-        tb, vb = path_b.values[aid]
+    for aid, (ta, va) in paths_a.items():
+        tb, vb = paths_b[aid]
         grid = np.union1d(ta, tb)
         grid = grid[grid <= horizon + SUM_TOL]
         ia = np.maximum(np.searchsorted(ta, grid, side="right") - 1, 0)
         ib = np.maximum(np.searchsorted(tb, grid, side="right") - 1, 0)
         out[aid] = float(np.max(np.abs(va[ia] - vb[ib]))) if grid.size else 0.0
     return out
-
-
-def sup_deviation(path_a: InterpolatedPath, path_b: InterpolatedPath,
-                  horizon: float) -> float:
-    """Largest per-app sup deviation (see sup_deviation_per_app)."""
-    per = sup_deviation_per_app(path_a, path_b, horizon)
-    return max(per.values()) if per else 0.0
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Formula layer: matching functions, fairness measure, feasibility, models.
+"""Formula layer: fairness measure, feasibility, models.
 
 Everything here is stateless. Vectors are plain sequences or numpy arrays;
 no function mutates its arguments.
@@ -13,36 +13,10 @@ import numpy as np
 
 from .errors import ConfigurationError
 
-SCARCE = "scarce"
-PERFECT = "perfect"
-ABUNDANT = "abundant"
-
 # absolute tolerance for bookkeeping identities (bandwidth sums etc.)
 SUM_TOL = 1e-12
 # the step kernel keeps update cadences in int64 arrays
 MAX_UPDATE_JOBS = int(np.iinfo(np.int64).max)
-
-
-def nominal_matching(beta: float, service: float, bandwidth: float) -> float:
-    """Model form beta*v/s - 1 of the matching signal."""
-    if not (service > 0.0):
-        raise ConfigurationError(f"service level must be positive, got {service!r}")
-    if bandwidth < 0.0:
-        raise ConfigurationError(f"bandwidth must be non-negative, got {bandwidth!r}")
-    if not (beta > 0.0):
-        raise ConfigurationError(f"beta must be positive, got {beta!r}")
-    return beta * bandwidth / service - 1.0
-
-
-def classify_matching(f: float, delta: float) -> str:
-    """Bucket a matching value: scarce below -delta, abundant above +delta."""
-    if not (delta > 0.0):
-        raise ConfigurationError(f"delta must be positive, got {delta!r}")
-    if f < -delta:
-        return SCARCE
-    if f > delta:
-        return ABUNDANT
-    return PERFECT
 
 
 def fairness_vector(matchings, bandwidths, weights) -> np.ndarray:
@@ -234,19 +208,3 @@ def make_state(services, bandwidths) -> SystemState:
     v = np.asarray(bandwidths, dtype=float)
     return SystemState(np.asarray(services, dtype=float), v, 1.0 - float(v.sum()))
 
-
-def is_fair_allocation(state: SystemState,
-                       specs: Sequence[ApplicationSpec],
-                       platform: PlatformSpec,
-                       tol: float) -> bool:
-    """True iff every fairness measure is within tol of zero at this state."""
-    if not (tol > 0.0):
-        raise ConfigurationError("tol must be positive")
-    lam = np.array([a.weight for a in specs])
-    phi = np.array([
-        nominal_matching(a.model.effective_beta, state.services[i],
-                         platform.cores * state.bandwidths[i])
-        for i, a in enumerate(specs)
-    ])
-    res = fairness_vector(phi, state.bandwidths, lam)
-    return bool(np.max(np.abs(res)) <= tol)

@@ -10,7 +10,7 @@ import numpy as np
 
 from .adaptation import project_bandwidth
 from .core import (SUM_TOL, ApplicationSpec, PlatformSpec, SystemState,
-                   fairness_vector, nominal_matching)
+                   fairness_vector)
 from .errors import ConfigurationError, ConvergenceError
 from .simkernel import (VALUES, Trajectory, check_budget, compile_apps,
                         project_service)
@@ -90,16 +90,6 @@ class StationaryPoint:
     capped: Set[int]
 
 
-def _stationary_residuals(vbar: np.ndarray, specs, platform) -> np.ndarray:
-    lam = np.array([a.weight for a in specs], dtype=float)
-    phi = np.array([
-        nominal_matching(a.model.effective_beta, a.min_service,
-                         platform.cores * vbar[i])
-        for i, a in enumerate(specs)
-    ])
-    return fairness_vector(phi, vbar, lam)
-
-
 def solve_stationary_point(specs: Sequence[ApplicationSpec],
                            platform: PlatformSpec,
                            tol: float = 1e-12,
@@ -121,14 +111,16 @@ def solve_stationary_point(specs: Sequence[ApplicationSpec],
     demanding = np.all(beta / floor < 1.0)
     cap = 1.0 / kappa
 
+    def residuals(v: np.ndarray) -> np.ndarray:
+        # fairness at the floor, under the nominal matching beta*v/s - 1
+        return fairness_vector(beta * (kappa * v) / floor - 1.0, v, lam)
+
     if not demanding:
         # zero-matching allocation: beta * kappa * vbar / floor = 1
         v0 = floor / (beta * kappa)
         if np.all(v0 <= cap + SUM_TOL) and v0.sum() <= 1.0 + SUM_TOL:
             v0 = np.minimum(v0, cap)
-            return StationaryPoint(floor.copy(), v0,
-                                   _stationary_residuals(v0, specs, platform),
-                                   set())
+            return StationaryPoint(floor.copy(), v0, residuals(v0), set())
         raise ConfigurationError(
             "no stationary point available: apps are not uniformly demanding "
             "and no zero-matching allocation is feasible")
@@ -159,8 +151,7 @@ def solve_stationary_point(specs: Sequence[ApplicationSpec],
             f"within {max_iters} iterations",
             last_iterate=v, residual=prev_delta)
     capped = set(int(i) for i in np.flatnonzero(v >= cap - SUM_TOL))
-    return StationaryPoint(floor.copy(), v,
-                           _stationary_residuals(v, specs, platform), capped)
+    return StationaryPoint(floor.copy(), v, residuals(v), capped)
 
 
 @dataclass(frozen=True)

@@ -240,10 +240,6 @@ class Trajectory:
         ends = np.cumsum(np.bincount(codes, minlength=len(index)))
         return [str(a) for a in index], order, ends
 
-    def app_ids(self) -> List[str]:
-        """Distinct app ids in order of first appearance."""
-        return list(self._groups[0])
-
     @classmethod
     def from_records(cls, blocks) -> "Trajectory":
         """Join recorded epochs. Each block is (instant times, app ids, an
@@ -279,7 +275,9 @@ def apply_membership_event(state: SystemState, event: MembershipEvent,
     if event.action == "join":
         if any(a.id == event.spec.id for a in specs):
             raise ConfigurationError(f"app id {event.spec.id!r} already live")
-        seed = min(platform.step, state.unused)
+        # within the per-app cap that project_bandwidth enforces
+        seed = min(platform.step, state.unused,
+                   platform.max_total_bandwidth / platform.cores)
         if seed <= 0.0:
             raise AdmissionError(
                 f"cannot admit {event.spec.id!r}: no unused bandwidth for the seed")
@@ -300,8 +298,9 @@ def run_scenario(scenario) -> Trajectory:
 
     Membership events split the run into epochs with a fixed app set; each
     epoch compiles its apps and their due masks once and steps them with
-    kernel_step. An epoch whose state repeats bit for bit after L instants,
-    L the lcm of its cadences, is filled by repetition from there on.
+    kernel_step. An epoch whose state repeats bit for bit after L or 2L
+    instants, L the lcm of its cadences, is filled by repetition from there
+    on.
     """
     platform: PlatformSpec = scenario.platform
     specs: List[ApplicationSpec] = list(scenario.apps)
@@ -358,20 +357,24 @@ def run_scenario(scenario) -> Trajectory:
             # past the cold start an instant's step depends only on the
             # entering state and on the due masks, which repeat every L
             # instants; so once the state entering i equals, bit for bit,
-            # the state entering i - L >= 1, every later row repeats the
-            # rows from i - L, and so does each post-step check
+            # the state entering i - P >= 1 for P = L or 2L, every later
+            # row repeats the rows from i - P, and so does each post-step
+            # check. 2L also catches a cycle whose period divides 2L but
+            # not L, such as a 2-cycle at an odd L.
             L = math.lcm(*c.cadence.tolist())
-            check, ref = L, None
+            check, refs = L, ()
             for i, due in enumerate(due_mask(c, since, k0, k1)):
                 if i == check:
                     # raw bytes, so that -0.0, nan and inf match exactly
                     key = s.tobytes() + v.tobytes()
-                    if key == ref:
-                        rec[i:] = rec[i - L + np.arange(k1 - k0 - i) % L]
-                        last = i - L + (k1 - k0 - i) % L
+                    P = next((m * L for m, ref in enumerate(refs, 1)
+                              if ref == key), 0)
+                    if P:
+                        rec[i:] = rec[i - P + np.arange(k1 - k0 - i) % P]
+                        last = i - P + (k1 - k0 - i) % P
                         s, v = rec[last, 0].copy(), rec[last, 1].copy()
                         break
-                    check, ref = i + L, key
+                    check, refs = i + L, (key, *refs[:1])
                 r = kernel_step(c, s, v, due, cold)
                 cold = None
                 rec[i] = (s, v, r.deadline, r.response, r.matching, r.fairness)

@@ -3,9 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from fairband import (ApplicationSpec, ConfigurationError, JobModel,
-                      PlatformSpec, classify_matching, fairness_vector,
-                      is_fair_allocation, is_feasible, make_state,
-                      measure_job, nominal_matching)
+                      fairness_vector, is_feasible, make_state, measure_job)
 
 
 class TestMatchingFromMeasurement:
@@ -29,47 +27,6 @@ class TestMatchingFromMeasurement:
     def test_lower_bound(self, d, r, v):
         model = JobModel(kind="multimedia", alpha=r, deadline=d)
         assert measure_job(model, 1.0, v)[2] >= -1.0
-
-
-class TestNominalMatching:
-    def test_half_scarce(self):
-        assert nominal_matching(2, 4, 1) == -0.5
-
-    def test_zero_resources(self):
-        assert nominal_matching(2, 4, 0) == -1
-
-    def test_perfect_point(self):
-        assert nominal_matching(1, 1, 1) == 0
-
-    def test_rejects_non_positive_service(self):
-        with pytest.raises(ConfigurationError):
-            nominal_matching(2, 0, 1)
-
-    @given(st.floats(min_value=0.1, max_value=10),
-           st.floats(min_value=0.1, max_value=10),
-           st.floats(min_value=0.1, max_value=10),
-           st.floats(min_value=0, max_value=1))
-    def test_monotone_in_service_and_bandwidth(self, beta, s, s2, v):
-        # more demanded computation can only worsen the matching
-        lo, hi = sorted((s, s2))
-        assert nominal_matching(beta, hi, v) <= nominal_matching(beta, lo, v)
-        # more resources can only improve it
-        assert nominal_matching(beta, s, v) >= nominal_matching(beta, s, v * 0.5)
-
-
-class TestClassifyMatching:
-    def test_bands(self):
-        assert classify_matching(0, 0.05) == "perfect"
-        assert classify_matching(-0.2, 0.05) == "scarce"
-        assert classify_matching(0.2, 0.05) == "abundant"
-
-    def test_band_edges(self):
-        assert classify_matching(0.05, 0.05) == "perfect"
-        assert classify_matching(-0.05, 0.05) == "perfect"
-
-    def test_rejects_bad_delta(self):
-        with pytest.raises(ConfigurationError):
-            classify_matching(0, 0)
 
 
 class TestFairnessMeasure:
@@ -111,30 +68,6 @@ class TestFeasibility:
 
     def test_negative_rejected(self):
         assert not is_feasible([-0.1, 0.5], 1)
-
-
-class TestIsFairAllocation:
-    def _specs(self, weights, beta=1.0, floor=1.0):
-        return [ApplicationSpec(id=f"a{i}", weight=w, min_service=floor,
-                                initial_service=floor,
-                                model=JobModel(kind="multimedia", alpha=1.0,
-                                               deadline=beta))
-                for i, w in enumerate(weights)]
-
-    def test_symmetric_state(self):
-        specs = self._specs([1.0, 1.0], beta=0.5)
-        state = make_state([1.0, 1.0], [0.5, 0.5])
-        assert is_fair_allocation(state, specs, PlatformSpec(), 1e-9)
-
-    def test_lopsided_state(self):
-        specs = self._specs([1.0, 1.0], beta=0.5)
-        state = make_state([1.0, 1.0], [0.9, 0.1])
-        assert not is_fair_allocation(state, specs, PlatformSpec(), 1e-6)
-
-    def test_all_abundant_always_fair(self):
-        specs = self._specs([0.9, 0.3], beta=10.0)
-        state = make_state([1.0, 1.0], [0.4, 0.3])
-        assert is_fair_allocation(state, specs, PlatformSpec(), 1e-12)
 
 
 class TestTypes:

@@ -1,13 +1,15 @@
-"""Every name a fairband module imports is used in that module."""
+"""Every name a fairband module or test module imports is used in it."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "fairband"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "fairband"
 # the package's __init__ imports names to re-export them
-MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+MODULES = (sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+           + sorted(TESTS.glob("*.py")))
 
 
 def _unused_imports(source: str):

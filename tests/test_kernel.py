@@ -153,6 +153,29 @@ def test_settled_epoch_is_filled_not_stepped(monkeypatch):
     assert calls[0] <= 1100
 
 
+@pytest.mark.parametrize("build, stepped", [
+    # L = 1; the state entering 567 equals the state entering 565
+    (lambda: _short("sync5", instants=5001, platform=dataclasses.replace(
+        parse_scenario("sync5").platform, step=1.0)), 567),
+    # cadences 3/1/3, so L = 3; a 2-cycle from instant 45, first seen at a
+    # multiple of L with lag 2L at instant 51
+    (lambda: _mixed(events=(), step=0.6), 51),
+], ids=["sync5-step-1.0", "mixed-step-0.6"])
+def test_two_cycle_at_odd_lcm_is_filled(build, stepped, monkeypatch):
+    s = build()
+    with monkeypatch.context() as m:
+        # an lcm past the last instant: the repeat check never runs
+        m.setattr(simkernel.math, "lcm", lambda *cadences: s.steps)
+        stepped_run = run_scenario(s)
+    calls = _count_steps(monkeypatch)
+    filled = run_scenario(s)
+    assert calls[0] == stepped
+    assert np.array_equal(filled.app, stepped_run.app)
+    for name in COLUMNS:
+        assert np.array_equal(getattr(filled, name).view(np.int64),
+                              getattr(stepped_run, name).view(np.int64)), name
+
+
 def test_unsettled_run_steps_every_instant(monkeypatch):
     # sync5's state never repeats bit for bit over its 5,001 instants
     s = parse_scenario("sync5")

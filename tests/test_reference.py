@@ -182,7 +182,7 @@ class TestOdeOracle:
         point = solve_stationary_point(specs, platform)
         initial = make_state(point.services, point.bandwidths)
         traj = integrate_ode(initial, specs, platform, 0.02, 200.0, rm_period=1.0)
-        for aid in traj.app_ids():
+        for aid in traj.per_app("bandwidth"):
             _, v = traj.per_app("bandwidth")[aid]
             _, s = traj.per_app("service")[aid]
             assert np.max(np.abs(v - v[0])) < 1e-12

@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 import yaml
 
-from fairband import (ConfigurationError, MembershipEvent, Scenario,
-                      parse_scenario, parse_scenario_text, run_scenario)
+from fairband import (ConfigurationError, MembershipEvent, parse_scenario,
+                      parse_scenario_text, run_scenario)
 from fairband.cli import (CSV_HEADER, EXIT_INVARIANT, EXIT_IO, EXIT_OK,
                           EXIT_VALIDATION, _jsonable, main,
                           read_trajectory_csv, write_trajectory_csv)
@@ -151,6 +151,12 @@ apps:
         assert s.events[1].spec.id == "app6"
         assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) \
             == EXIT_OK
+
+    def test_readme_python_examples_run(self):
+        blocks = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
+        assert blocks
+        for block in blocks:
+            exec(compile(block, str(README), "exec"), {})
 
     @pytest.mark.parametrize("app_id", BAD_IDS)
     def test_app_id_csv_cannot_carry_rejected(self, app_id):
@@ -633,3 +639,33 @@ apps:
         assert conv["settled"] is False
         assert conv["settle_time"] is None
         assert conv["final_fairness_residuals"] == {}
+
+    @pytest.mark.parametrize("platform, cap", [
+        ("{cores: 2, step: 0.6}", 0.5),
+        ("{cores: 1, step: 0.6, max_total_bandwidth: 0.4}", 0.4)],
+        ids=["cores-2", "max-total-0.4"])
+    def test_join_seed_stays_within_the_per_app_cap(self, tmp_path,
+                                                    platform, cap):
+        # an abundant app pinned at its service ceiling keeps 0.2 and leaves
+        # 0.8 unused, so the seed min(step, unused) alone would be 0.6, above
+        # the per-app cap max_total_bandwidth / cores
+        cfg = tmp_path / "s.yaml"
+        cfg.write_text("""
+name: join-cap
+rm_period: 1.0
+horizon: 20.0
+platform: %s
+apps:
+  - {id: a, weight: 0.5, min_service: 1.0, max_service: 1.0,
+     initial_service: 1.0, initial_bandwidth: 0.2,
+     model: {kind: multimedia, alpha: 1000.0, deadline: 10000.0}}
+events:
+  - {time: 5.0, action: join, app: {id: b, weight: 0.5, min_service: 1.0,
+     initial_service: 1.0,
+     model: {kind: multimedia, alpha: 1000.0, deadline: 800.0}}}
+""" % platform)
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--out", str(out)]) == EXIT_OK
+        traj = read_trajectory_csv(out / "trajectory.csv")
+        joiner = traj.per_app("bandwidth")["b"]
+        assert joiner[0][0] == 5.0 and joiner[1][0] == cap

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -7,7 +6,7 @@ import pytest
 from fairband import (AdmissionError, ApplicationSpec, ConfigurationError,
                       JobModel, MembershipEvent, PlatformSpec, Scenario,
                       apply_membership_event, compile_apps, make_state,
-                      measure_job, nominal_matching, run_scenario)
+                      measure_job, run_scenario)
 
 
 def _app(i, weight=0.5, floor=1.0, s0=None, v0=0.2, cadence=1, model=None):
@@ -46,7 +45,7 @@ class TestJobModel:
         m = JobModel(kind="control", alpha=100, beta=20)
         for s, v in ((5, 0.3), (10, 0.9), (2, 0.05)):
             _, _, f = measure_job(m, s, v)
-            assert f == pytest.approx(nominal_matching(20, s, v), abs=1e-12)
+            assert f == pytest.approx(20 * v / s - 1, abs=1e-12)
 
     def test_zero_bandwidth_limit(self):
         m = JobModel(kind="synthetic", a=20, b=200, deadline=1000)
