@@ -49,18 +49,15 @@ def sup_deviation_per_app(paths_a: Paths, paths_b: Paths,
 class InvariantReport:
     feasibility_ok: bool
     starvation_ok: bool
-    balance_ok: bool
     feasibility_violation_at: Optional[float]
     starvation_violation_at: Optional[float]
-    balance_contained_at: Optional[float]
     max_sum: float
     min_bandwidth: float
 
 
-def sweep_invariants(trajectory: Trajectory, platform: PlatformSpec,
-                     zeta: Optional[float] = None) -> InvariantReport:
-    """Check the run against the feasibility, starvation and balance
-    guarantees."""
+def sweep_invariants(trajectory: Trajectory,
+                     platform: PlatformSpec) -> InvariantReport:
+    """Check the run against the feasibility and starvation guarantees."""
     v = trajectory.bandwidth
     times, inv = np.unique(trajectory.time, return_inverse=True)
     sums = np.bincount(inv, weights=v, minlength=len(times))
@@ -82,27 +79,11 @@ def sweep_invariants(trajectory: Trajectory, platform: PlatformSpec,
     starve_ok = not starve_bad.any()
     starve_at = None if starve_ok else float(trajectory.time[starve_bad][0])
 
-    balance_ok = True
-    contained_at = None
-    if zeta is not None:
-        over = np.bincount(inv, weights=(v > zeta + SUM_TOL).astype(float),
-                           minlength=len(times)) > 0.0
-        if over.any():
-            last_bad = int(np.flatnonzero(over)[-1])
-            if last_bad + 1 < len(times):
-                contained_at = float(times[last_bad + 1])
-            else:
-                balance_ok = False
-        else:
-            contained_at = float(times[0])
-
     return InvariantReport(
         feasibility_ok=feas_ok,
         starvation_ok=starve_ok,
-        balance_ok=balance_ok,
         feasibility_violation_at=feas_at,
         starvation_violation_at=starve_at,
-        balance_contained_at=contained_at,
         max_sum=float(sums.max()) if sums.size else 0.0,
         min_bandwidth=float(v.min()) if v.size else 0.0,
     )

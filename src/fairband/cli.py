@@ -17,7 +17,6 @@ import json
 import math
 import sys
 import warnings
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional
 
@@ -96,13 +95,6 @@ def read_trajectory_csv(path: Path) -> Trajectory:
     return Trajectory(**{name: rows[name].copy() for name in _CSV_ROW.names})
 
 
-@dataclass(frozen=True)
-class OutputBundle:
-    trajectory_path: Path
-    summary_path: Path
-    report: Dict
-
-
 def _jsonable(x):
     """Plain JSON values; non-finite floats become strings ("inf", "nan") so
     the output stays strict JSON."""
@@ -119,8 +111,9 @@ def _jsonable(x):
     return x
 
 
-def run_bundle(scenario: scen.Scenario, out_dir: Path) -> OutputBundle:
-    """Execute a scenario and write its artifacts into out_dir."""
+def run_bundle(scenario: scen.Scenario, out_dir: Path) -> Dict:
+    """Execute a scenario, write trajectory.csv and summary.json into
+    out_dir, and return the summary."""
     traj = run_scenario(scenario)
     bounds = reference.compute_bounds(scenario.apps, scenario.platform,
                                       n_bar=max(a.update_jobs
@@ -156,13 +149,11 @@ def run_bundle(scenario: scen.Scenario, out_dir: Path) -> OutputBundle:
                                   if g > scenario.platform.match_tol),
         }
     out_dir.mkdir(parents=True, exist_ok=True)
-    traj_path = out_dir / "trajectory.csv"
-    summary_path = out_dir / "summary.json"
-    write_trajectory_csv(traj, traj_path)
-    with open(summary_path, "w", encoding="utf-8") as fh:
+    write_trajectory_csv(traj, out_dir / "trajectory.csv")
+    with open(out_dir / "summary.json", "w", encoding="utf-8") as fh:
         json.dump(_jsonable(summary), fh, indent=2)
         fh.write("\n")
-    return OutputBundle(traj_path, summary_path, summary)
+    return summary
 
 
 def compare_bundles(dir_a: Path, dir_b: Path) -> Dict:
@@ -256,9 +247,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         if args.verb == "run":
             s = _load(args)
-            bundle = run_bundle(s, Path(args.out))
-            rep = bundle.report["invariants"]
-            print(f"wrote {bundle.trajectory_path} and {bundle.summary_path}")
+            out = Path(args.out)
+            rep = run_bundle(s, out)["invariants"]
+            print(f"wrote {out / 'trajectory.csv'} and {out / 'summary.json'}")
             if s.strict_bounds and not (rep["feasibility_ok"]
                                         and rep["starvation_ok"]):
                 print("strict mode: invariant report flagged a violation",

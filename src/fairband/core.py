@@ -87,14 +87,13 @@ class JobModel:
         """Coefficient of the nominal matching form for this model."""
         if self.beta is not None:
             return self.beta
+        # control models carry an explicit beta
         if self.kind == "multimedia":
             return self.deadline / self.alpha
-        if self.kind == "synthetic":
-            if self.a == 0.0:
-                raise ConfigurationError(
-                    "synthetic model with a = 0 has no nominal matching coefficient")
-            return self.deadline / self.a
-        raise ConfigurationError("control model has no derivable beta")
+        if self.a == 0.0:
+            raise ConfigurationError(
+                "synthetic model with a = 0 has no nominal matching coefficient")
+        return self.deadline / self.a
 
     @property
     def coefficients(self) -> Tuple[float, float, float, float]:
@@ -185,22 +184,6 @@ class SystemState:
         if abs(v.sum() + self.unused - 1.0) > SUM_TOL:
             raise ConfigurationError(
                 f"bandwidth accounting broken: sum {v.sum()!r} + unused {self.unused!r} != 1")
-
-    def validated(self, specs: Sequence[ApplicationSpec], platform: PlatformSpec) -> "SystemState":
-        cap = 1.0 / platform.cores
-        v = self.bandwidths
-        bad = np.flatnonzero((v < -SUM_TOL) | (v > cap + SUM_TOL))
-        if len(bad):
-            i = bad[0]
-            raise ConfigurationError(
-                f"app {specs[i].id}: initial_bandwidth {v[i]} is outside "
-                f"[0, 1/cores] = [0, {cap}], with cores from platform.cores "
-                f"= {platform.cores}")
-        for i, spec in enumerate(specs):
-            if self.services[i] < spec.min_service - SUM_TOL:
-                raise ConfigurationError(
-                    f"app {spec.id}: service {self.services[i]} below floor {spec.min_service}")
-        return self
 
 
 def make_state(services, bandwidths) -> SystemState:

@@ -26,9 +26,4 @@ class AdmissionError(FairbandError):
 
 
 class ConvergenceError(FairbandError):
-    """An iterative solver did not converge; carries the last iterate."""
-
-    def __init__(self, message, last_iterate=None, residual=None):
-        super().__init__(message)
-        self.last_iterate = last_iterate
-        self.residual = residual
+    """An iterative solver did not converge."""

@@ -13,7 +13,7 @@ from .core import (SUM_TOL, ApplicationSpec, PlatformSpec, SystemState,
                    fairness_vector)
 from .errors import ConfigurationError, ConvergenceError
 from .simkernel import (VALUES, Trajectory, check_budget, compile_apps,
-                        project_service)
+                        instants, project_service)
 
 
 @dataclass(frozen=True)
@@ -133,7 +133,6 @@ def solve_stationary_point(specs: Sequence[ApplicationSpec],
     v = np.minimum(cap, lam / lam.sum())
     damping = 1.0
     prev_delta = math.inf
-    last = None
     for _ in range(max_iters):
         nxt = mapping(v)
         delta = float(np.max(np.abs(nxt - v)))
@@ -141,15 +140,14 @@ def solve_stationary_point(specs: Sequence[ApplicationSpec],
             v = nxt
             break
         # oscillation: successive substitution bouncing, halve the step
-        if last is not None and delta > prev_delta:
+        if delta > prev_delta:
             damping = 0.5
         v = v + damping * (nxt - v)
-        last, prev_delta = nxt, delta
+        prev_delta = delta
     else:
         raise ConvergenceError(
             f"stationary-point iteration did not reach tol {tol} "
-            f"within {max_iters} iterations",
-            last_iterate=v, residual=prev_delta)
+            f"within {max_iters} iterations")
     capped = set(int(i) for i in np.flatnonzero(v >= cap - SUM_TOL))
     return StationaryPoint(floor.copy(), v, residuals(v), capped)
 
@@ -213,7 +211,7 @@ def integrate_ode(initial: SystemState, specs: Sequence[ApplicationSpec],
     if not (tau_step > 0.0):
         raise ConfigurationError("tau_step must be positive")
     period = rm_period if rm_period is not None else 1.0
-    steps = int(round(horizon / period)) + 1
+    steps = instants(horizon, period)
     check_budget(steps, len(specs))
     c = compile_apps(specs, platform, "sync")
     c1, c0, d0, d1 = c.job

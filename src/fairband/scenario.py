@@ -8,17 +8,18 @@ time-units. Parsed scenarios always carry time-unit values.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 import yaml
 
-from .core import (ApplicationSpec, JobModel, PlatformSpec, SystemState,
-                   make_state)
+from .core import (SUM_TOL, ApplicationSpec, JobModel, PlatformSpec,
+                   SystemState, make_state)
 from .errors import ConfigurationError
-from .simkernel import MODES, MembershipEvent
+from .simkernel import MODES, MembershipEvent, instants
 
 MS = 1000.0  # time-units per millisecond
 
@@ -73,11 +74,12 @@ class Scenario:
     @property
     def steps(self) -> int:
         """Number of manager instants recorded over the horizon."""
-        return int(round(self.horizon / self.rm_period)) + 1
+        return instants(self.horizon, self.rm_period)
 
     def initial_state(self) -> SystemState:
         """Starting (services, bandwidths); apps without an explicit initial
-        bandwidth share the remainder equally."""
+        bandwidth share the remainder equally. Refuses bandwidths outside
+        the platform."""
         s = np.array([a.initial_service for a in self.apps], dtype=float)
         v = np.array([math.nan if a.initial_bandwidth is None
                       else a.initial_bandwidth for a in self.apps])
@@ -86,11 +88,18 @@ class Scenario:
             left = 1.0 - np.nansum(v)
             if left < 0.0:
                 raise ConfigurationError("explicit initial bandwidths exceed 1")
-            cap = min(1.0 / self.platform.cores,
-                      self.platform.max_total_bandwidth / self.platform.cores)
+            cap = self.platform.max_total_bandwidth / self.platform.cores
             v[unset] = min(cap, left / int(unset.sum()))
-        if v.sum() > 1.0 + 1e-12:
+        if v.sum() > 1.0 + SUM_TOL:
             raise ConfigurationError("initial bandwidths exceed the platform")
+        cores = self.platform.cores
+        over = np.flatnonzero(v > 1.0 / cores + SUM_TOL)
+        if len(over):
+            i = over[0]
+            raise ConfigurationError(
+                f"app {self.apps[i].id}: initial_bandwidth {v[i]} is outside "
+                f"[0, 1/cores] = [0, {1.0 / cores}], with cores from "
+                f"platform.cores = {cores}")
         return make_state(s, v)
 
     def echo(self) -> Dict:
@@ -102,12 +111,7 @@ class Scenario:
             "horizon": self.horizon,
             "strict_bounds": self.strict_bounds,
             "sample_stride": self.sample_stride,
-            "platform": {
-                "cores": self.platform.cores,
-                "step": self.platform.step,
-                "match_tol": self.platform.match_tol,
-                "max_total_bandwidth": self.platform.max_total_bandwidth,
-            },
+            "platform": dataclasses.asdict(self.platform),
             "apps": [_app_dict(a) for a in self.apps],
             "events": [_event_dict(e) for e in self.events],
         }
@@ -123,18 +127,10 @@ def _app_dict(a: ApplicationSpec) -> Dict:
         m.update(alpha=a.model.alpha)
     if a.model.beta is not None:
         m["beta"] = a.model.beta
-    d = {
-        "id": a.id,
-        "weight": a.weight,
-        "min_service": a.min_service,
-        "initial_service": a.initial_service,
-        "update_jobs": a.update_jobs,
-        "model": m,
-    }
-    if a.max_service is not None:
-        d["max_service"] = a.max_service
-    if a.initial_bandwidth is not None:
-        d["initial_bandwidth"] = a.initial_bandwidth
+    # an unset optional field is left out
+    d = {key: getattr(a, key) for key in _APP
+         if getattr(a, key) is not None}
+    d["model"] = m
     return d
 
 
@@ -144,23 +140,13 @@ def _event_dict(e: MembershipEvent) -> Dict:
     return {"time": e.time, "action": "leave", "app": e.app_id}
 
 
-# the keys each mapping of a config may hold; any other key is refused
-_TOP_KEYS = ("name", "mode", "rm_period", "horizon", "strict_bounds",
-             "sample_stride", "platform", "apps", "events")
-_PLATFORM_KEYS = ("cores", "step", "match_tol", "max_total_bandwidth")
-_APP_KEYS = ("id", "weight", "min_service", "max_service", "initial_service",
-             "initial_bandwidth", "update_jobs", "model")
-_MODEL_KEYS = ("kind", "deadline", "alpha", "a", "b", "beta", "coeff_unit")
-_EVENT_KEYS = ("time", "action", "app")
-
-
-def _mapping(d, path: str, keys: Tuple[str, ...]) -> Dict:
+def _mapping(d, path: str, keys) -> None:
+    """Refuse anything but a mapping of the given keys."""
     if not isinstance(d, dict):
         raise ConfigurationError(f"{path} must be a mapping")
     for key in d:
         if key not in keys:
             raise ConfigurationError(f"unknown field {path}.{key}")
-    return d
 
 
 def _want(d: Dict, key: str, path: str):
@@ -177,6 +163,11 @@ def _float(value, where: str) -> float:
     except (TypeError, ValueError):
         pass
     raise ConfigurationError(f"{where} must be a number, got {value!r}")
+
+
+def _optional_float(value, where: str) -> Optional[float]:
+    """A number, or None for a field left unset."""
+    return None if value is None else _float(value, where)
 
 
 def _string(value, where: str) -> str:
@@ -205,31 +196,39 @@ def _parse_model(d, path: str) -> JobModel:
     scale = MS if unit == "ms" else 1.0
     coeff = {key: _float(d.get(key, 0.0), f"{path}.{key}") * scale
              for key in ("deadline", "alpha", "a", "b")}
-    beta = None if d.get("beta") is None else _float(d["beta"], f"{path}.beta")
+    beta = _optional_float(d.get("beta"), f"{path}.beta")
     try:
         return JobModel(kind=kind, beta=beta, **coeff)
     except ConfigurationError as exc:
         raise ConfigurationError(f"{path}: {exc}") from exc
 
 
-def _parse_app(d, path: str) -> ApplicationSpec:
-    _mapping(d, path, _APP_KEYS)
-    fields = dict(
-        id=_string(_want(d, "id", path), f"{path}.id"),
-        weight=_float(_want(d, "weight", path), f"{path}.weight"),
-        min_service=_float(_want(d, "min_service", path),
-                           f"{path}.min_service"),
-        initial_service=_float(_want(d, "initial_service", path),
-                               f"{path}.initial_service"),
-        model=_parse_model(_want(d, "model", path), f"{path}.model"),
-        max_service=None if d.get("max_service") is None
-        else _float(d["max_service"], f"{path}.max_service"),
-        update_jobs=_integer(d.get("update_jobs", 1), f"{path}.update_jobs"),
-        initial_bandwidth=None if d.get("initial_bandwidth") is None
-        else _float(d["initial_bandwidth"], f"{path}.initial_bandwidth"),
-    )
+# the keys a platform or app mapping may hold, each with its reader; an
+# absent key takes the spec's default, and apps echo in this order
+_PLATFORM = {"cores": _integer, "step": _float, "match_tol": _float,
+             "max_total_bandwidth": _float}
+_APP = {"id": _string, "weight": _float, "min_service": _float,
+        "initial_service": _float, "update_jobs": _integer,
+        "model": _parse_model, "max_service": _optional_float,
+        "initial_bandwidth": _optional_float}
+# the keys the other mappings of a config may hold
+_TOP_KEYS = ("name", "mode", "rm_period", "horizon", "strict_bounds",
+             "sample_stride", "platform", "apps", "events")
+_MODEL_KEYS = ("kind", "deadline", "alpha", "a", "b", "beta", "coeff_unit")
+_EVENT_KEYS = ("time", "action", "app")
+
+
+def _read(cls, table: Dict, d, path: str):
+    """A `cls` (PlatformSpec or ApplicationSpec) from mapping d, each key
+    read by its reader in `table`."""
+    _mapping(d, path, table)
+    for f in dataclasses.fields(cls):
+        if f.default is dataclasses.MISSING:
+            _want(d, f.name, path)
+    fields = {key: read(d[key], f"{path}.{key}")
+              for key, read in table.items() if key in d}
     try:
-        return ApplicationSpec(**fields)
+        return cls(**fields)
     except ConfigurationError as exc:
         raise ConfigurationError(f"{path}: {exc}") from exc
 
@@ -239,8 +238,9 @@ def _parse_event(d, path: str) -> MembershipEvent:
     action = _want(d, "action", path)
     t = _float(_want(d, "time", path), f"{path}.time")
     if action == "join":
-        return MembershipEvent(
-            t, "join", spec=_parse_app(_want(d, "app", path), f"{path}.app"))
+        spec = _read(ApplicationSpec, _APP, _want(d, "app", path),
+                     f"{path}.app")
+        return MembershipEvent(t, "join", spec=spec)
     if action == "leave":
         app_id = _string(_want(d, "app", path), f"{path}.app")
         return MembershipEvent(t, "leave", app_id=app_id)
@@ -249,18 +249,13 @@ def _parse_event(d, path: str) -> MembershipEvent:
 
 def scenario_from_dict(doc: Dict) -> Scenario:
     _mapping(doc, "scenario", _TOP_KEYS)
-    pd = _mapping(doc.get("platform", {}), "platform", _PLATFORM_KEYS)
-    platform = PlatformSpec(
-        cores=_integer(pd.get("cores", 1), "platform.cores"),
-        step=_float(pd.get("step", 0.05), "platform.step"),
-        match_tol=_float(pd.get("match_tol", 0.05), "platform.match_tol"),
-        max_total_bandwidth=_float(pd.get("max_total_bandwidth", 1.0),
-                                   "platform.max_total_bandwidth"),
-    )
+    platform = _read(PlatformSpec, _PLATFORM, doc.get("platform", {}),
+                     "platform")
     apps_doc = _want(doc, "apps", "scenario")
     if not isinstance(apps_doc, list):
         raise ConfigurationError("scenario.apps must be a list")
-    apps = [_parse_app(a, f"apps[{i}]") for i, a in enumerate(apps_doc)]
+    apps = [_read(ApplicationSpec, _APP, a, f"apps[{i}]")
+            for i, a in enumerate(apps_doc)]
     events_doc = [] if doc.get("events") is None else doc["events"]
     if not isinstance(events_doc, list):
         raise ConfigurationError("scenario.events must be a list")
@@ -354,23 +349,25 @@ def parse_scenario(source: str) -> Scenario:
     if source in PRESETS:
         return PRESETS[source]()
     try:
-        with open(source, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        with open(source, "rb") as fh:
+            data = fh.read()
     except FileNotFoundError as exc:
         raise ConfigurationError(
             f"{source!r} is neither a preset ({', '.join(PRESETS)}) "
             "nor a readable file") from exc
-    try:
-        doc = yaml.load(text, Loader=_YAML_LOADER)
-    except yaml.YAMLError as exc:
-        raise ConfigurationError(f"{source}: malformed config: {exc}") from exc
-    return scenario_from_dict(doc)
+    return _from_yaml(data, f"{source}: ")
 
 
 def parse_scenario_text(text: str) -> Scenario:
     """Parse a scenario from config text (round-trip partner of emit)."""
+    return _from_yaml(text, "")
+
+
+def _from_yaml(text, where: str) -> Scenario:
+    """A scenario from YAML text, or from bytes in a UTF encoding; `where`
+    prefixes the message of a malformed document."""
     try:
         doc = yaml.load(text, Loader=_YAML_LOADER)
     except yaml.YAMLError as exc:
-        raise ConfigurationError(f"malformed config: {exc}") from exc
+        raise ConfigurationError(f"{where}malformed config: {exc}") from exc
     return scenario_from_dict(doc)

@@ -39,6 +39,16 @@ QUIET = dict(divide="ignore", invalid="ignore", over="ignore")
 MAX_APP_STEPS = 10_000_000
 
 
+def instants(horizon: float, period: float) -> int:
+    """Manager instants 0, period, ... up to the one nearest horizon."""
+    ratio = horizon / period
+    if not math.isfinite(ratio):
+        raise ConfigurationError(
+            f"horizon/rm_period = {horizon}/{period} overflows: shorten "
+            f"horizon or raise rm_period")
+    return int(round(ratio)) + 1
+
+
 def check_budget(steps: int, apps: int) -> None:
     """Reject a run of `steps` manager instants over `apps` apps that would
     exceed MAX_APP_STEPS, before anything of that size is allocated."""
@@ -311,7 +321,7 @@ def run_scenario(scenario) -> Trajectory:
             raise ConfigurationError(
                 f"strict mode: step {platform.step} not below the starvation "
                 f"guard {guard}")
-    state = scenario.initial_state().validated(specs, platform)
+    state = scenario.initial_state()
     if scenario.mode == "ode_reference":
         from .reference import integrate_ode
         return integrate_ode(state, specs, platform, platform.step,

@@ -138,21 +138,6 @@ class TestSweepInvariants:
         assert not rep.starvation_ok
         assert rep.starvation_violation_at == 1.0
 
-    def test_balance_containment(self):
-        traj = _fake_trajectory(
-            [0.0, 1.0, 2.0, 3.0],
-            [{"a0": 0.5}, {"a0": 0.2}, {"a0": 0.09}, {"a0": 0.08}])
-        rep = sweep_invariants(traj, PlatformSpec(step=0.01), zeta=0.1)
-        assert rep.balance_ok
-        assert rep.balance_contained_at == 2.0
-
-    def test_balance_escape_detected(self):
-        traj = _fake_trajectory(
-            [0.0, 1.0, 2.0],
-            [{"a0": 0.09}, {"a0": 0.2}, {"a0": 0.2}])
-        rep = sweep_invariants(traj, PlatformSpec(step=0.01), zeta=0.1)
-        assert not rep.balance_ok
-
     def test_matches_brute_force_recheck(self):
         rng = np.random.default_rng(4)
         platform = PlatformSpec(step=0.05)

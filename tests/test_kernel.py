@@ -121,18 +121,18 @@ def test_trajectory_digest_pinned(name, tmp_path):
 # summary.json as run_bundle writes it: the invariant sweep, bounds,
 # final values and the convergence verdict of three pinned runs
 SUMMARY_PINNED = {
-    "sync5": "d5809c2d1aad04fccf4d7772106f6b2f900872225857d52e126493863c32cd44",
+    "sync5": "c4908668bd2ef30c35416faab2f2ae6eee395322024b7ce29f673062f379619d",
     "async3-5e7-compensated":
-        "dbf2ff2d8372d951df437bda947a9ce3190c0588527e5121c6787ae13bc651bf",
-    "mixed": "8c42e04e646b9e64a0b9d300afe587914ac0537ae68ef3b33c3e3a22a20fad9c",
+        "3c56392e3d5df9facd618b8e6fb1754d95a5b3a99ba8cd38687b7b083123084c",
+    "mixed": "05f6cc94cf5f23a869048e90c6625c3ca3a95dc2b9e632ccd95961915d0bf711",
 }
 
 
 @pytest.mark.parametrize("name", SUMMARY_PINNED)
 def test_summary_digest_pinned(name, tmp_path):
-    bundle = run_bundle(PINNED[name][0](), tmp_path)
-    assert hashlib.sha256(bundle.summary_path.read_bytes()).hexdigest() \
-        == SUMMARY_PINNED[name]
+    run_bundle(PINNED[name][0](), tmp_path)
+    assert hashlib.sha256((tmp_path / "summary.json").read_bytes()) \
+        .hexdigest() == SUMMARY_PINNED[name]
 
 
 def _count_steps(monkeypatch):

@@ -16,6 +16,7 @@ from fairband.cli import (CSV_HEADER, EXIT_INVARIANT, EXIT_IO, EXIT_OK,
                           read_trajectory_csv, write_trajectory_csv)
 from fairband.scenario import MS, emit, scenario_from_dict
 from fairband.simkernel import Trajectory
+from test_kernel import MIXED
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 # ids the CSV cannot carry: a field separator, or not printable
@@ -79,8 +80,10 @@ class TestPresets:
 
 class TestConfigFormat:
     def test_round_trip(self):
-        for preset in ("sync5", "async3"):
-            s = parse_scenario(preset)
+        # MIXED holds all three job kinds, an explicit beta, unset optional
+        # fields and a leave plus a join
+        for s in (parse_scenario("sync5"), parse_scenario("async3"),
+                  parse_scenario_text(MIXED)):
             assert parse_scenario_text(emit(s)) == s
 
     def test_round_trip_with_events(self):
@@ -560,13 +563,34 @@ apps:
         assert "step 0.9 not below the starvation guard 0.294" in errors[0]
         assert errors[0] == errors[1]
 
-    @pytest.mark.parametrize("mode", ["sync", "ode_reference"])
-    def test_run_over_step_budget_exits_2(self, tmp_path, capsys, mode):
+    @pytest.mark.parametrize("mode, rm_period, horizon, why", [
         # 10**12 instants: rejected before any per-instant array exists
-        assert main(["run", "sync5", "--mode", mode, "--horizon", "1e15",
+        ("sync", None, "1e15", "5 apps"),
+        ("ode_reference", None, "1e15", "5 apps"),
+        # more instants than a float can count
+        ("sync", 1e-300, "1e10", "overflows"),
+        ("ode_reference", 1e-300, "1e10", "overflows"),
+    ], ids=["sync", "ode_reference", "overflow-sync", "overflow-ode_reference"])
+    def test_run_over_step_budget_exits_2(self, tmp_path, capsys, mode,
+                                          rm_period, horizon, why):
+        scenario = "sync5"
+        if rm_period is not None:
+            scenario = str(tmp_path / "s.yaml")
+            Path(scenario).write_text(
+                yaml.safe_dump(_sync5_doc(rm_period=rm_period)))
+        assert main(["run", scenario, "--mode", mode, "--horizon", horizon,
                      "--out", str(tmp_path / "out")]) == EXIT_VALIDATION
         err = capsys.readouterr().err
-        assert "horizon/rm_period" in err and "5 apps" in err
+        assert "horizon/rm_period" in err and why in err
+        assert not (tmp_path / "out").exists()
+
+    def test_run_rejects_non_utf8_config(self, tmp_path, capsys):
+        cfg = tmp_path / "s.yaml"
+        cfg.write_bytes(b"name: x\xff\n" + emit(parse_scenario("sync5"))
+                        .split("\n", 1)[1].encode())
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) \
+            == EXIT_VALIDATION
+        assert f"{cfg}: malformed config" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_run_rejects_malformed_yaml(self, tmp_path, capsys):
