@@ -51,7 +51,8 @@ def project_bandwidth(raw: np.ndarray, upper: float
     clipped = box != raw
     total = np.add.reduce(box, axis=-1)
     over = total > 1.0 + SUM_TOL
-    if not over.any():
+    # the ufunc reduce skips ndarray.any's Python wrapper
+    if not np.logical_or.reduce(over, axis=None):
         return box, clipped, total
     v = box.copy()
     rows, hit = v.reshape(-1, v.shape[-1]), clipped.reshape(-1, v.shape[-1])

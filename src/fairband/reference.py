@@ -222,7 +222,7 @@ def integrate_ode(initial: SystemState, specs: Sequence[ApplicationSpec],
     # a synthetic app floored at s = 0 divides 0 by 0 in the unselected branch
     with np.errstate(divide="ignore", invalid="ignore"):
         for k in range(steps):
-            D = np.where(d1 > 0.0, d1 / s, d0)
+            D = d0 if d1 is None else np.where(d1 > 0.0, d1 / s, d0)
             if k == 0:
                 # same neutral first step as the discrete engine
                 R = D.copy()

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import sys
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
@@ -23,8 +24,34 @@ from .simkernel import MODES, MembershipEvent, instants
 
 MS = 1000.0  # time-units per millisecond
 
+
+class _Mapping(dict):
+    """A config mapping, with the keys its text gives more than once."""
+    repeated: Tuple = ()
+
+
 # libyaml's loader when PyYAML was built with it; both build the same document
-_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+class _Loader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
+    """The safe loader, except that each mapping notes the keys it repeats,
+    where the safe loader silently keeps the last value. A key next to a
+    `<<` merge overrides the merged one, as YAML defines; that is no
+    repeat."""
+
+    def construct_yaml_map(self, node):
+        data = _Mapping()
+        yield data
+        # the mapping's own pairs, before its merges are flattened in
+        pairs = list(node.value)
+        data.update(self.construct_mapping(node))
+        if len(data) == len(node.value):
+            return          # no key given twice, none merged over
+        # every key is constructed by now, so this reads them back
+        keys = [self.construct_object(k) for k, _ in pairs
+                if k.tag != "tag:yaml.org,2002:merge"]
+        data.repeated = tuple(k for k in data if keys.count(k) > 1)
+
+
+_Loader.add_constructor("tag:yaml.org,2002:map", _Loader.construct_yaml_map)
 
 ALL_MODES = MODES + ("ode_reference",)
 
@@ -141,9 +168,11 @@ def _event_dict(e: MembershipEvent) -> Dict:
 
 
 def _mapping(d, path: str, keys) -> None:
-    """Refuse anything but a mapping of the given keys."""
+    """Refuse anything but a mapping of the given keys, each given once."""
     if not isinstance(d, dict):
         raise ConfigurationError(f"{path} must be a mapping")
+    for key in getattr(d, "repeated", ()):
+        raise ConfigurationError(f"field {path}.{key} is given more than once")
     for key in d:
         if key not in keys:
             raise ConfigurationError(f"unknown field {path}.{key}")
@@ -187,6 +216,16 @@ def _integer(value, where: str) -> int:
     return value
 
 
+def _cores(value, where: str) -> int:
+    """A core count; the per-app cap max_total_bandwidth / cores divides by
+    it as a float, so a count beyond float range is refused."""
+    cores = _integer(value, where)
+    if cores > sys.float_info.max:
+        raise ConfigurationError(
+            f"{where} must be at most {sys.float_info.max!r}")
+    return cores
+
+
 def _parse_model(d, path: str) -> JobModel:
     _mapping(d, path, _MODEL_KEYS)
     kind = _want(d, "kind", path)
@@ -205,7 +244,7 @@ def _parse_model(d, path: str) -> JobModel:
 
 # the keys a platform or app mapping may hold, each with its reader; an
 # absent key takes the spec's default, and apps echo in this order
-_PLATFORM = {"cores": _integer, "step": _float, "match_tol": _float,
+_PLATFORM = {"cores": _cores, "step": _float, "match_tol": _float,
              "max_total_bandwidth": _float}
 _APP = {"id": _string, "weight": _float, "min_service": _float,
         "initial_service": _float, "update_jobs": _integer,
@@ -367,7 +406,7 @@ def _from_yaml(text, where: str) -> Scenario:
     """A scenario from YAML text, or from bytes in a UTF encoding; `where`
     prefixes the message of a malformed document."""
     try:
-        doc = yaml.load(text, Loader=_YAML_LOADER)
+        doc = yaml.load(text, Loader=_Loader)
     except yaml.YAMLError as exc:
         raise ConfigurationError(f"{where}malformed config: {exc}") from exc
     return scenario_from_dict(doc)

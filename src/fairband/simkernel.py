@@ -63,15 +63,19 @@ def measure(job, service, bandwidth_unnormalized, cold=None):
     """Run one fluid job per app: returns (deadline, response, matching).
 
     `job` holds the coefficients (c1, c0, d0, d1) of JobModel.coefficients,
-    as scalars or arrays whose last axis is the app axis. Response time is
-    C / v; zero bandwidth gives an infinite response and the limiting
-    matching value -1. The apps in the `cold` mask, with no job completed
-    yet, read the neutral (D, D, 0); None means no app is cold. Callers run
-    this under np.errstate(**QUIET).
+    as scalars or arrays whose last axis is the app axis; d1 None means no
+    app's deadline depends on s, so D is d0 itself (read-only). Response
+    time is C / v; zero bandwidth gives an infinite response and the
+    limiting matching value -1. The apps in the `cold` mask, with no job
+    completed yet, read the neutral (D, D, 0); None means no app is cold.
+    Callers run this under np.errstate(**QUIET).
     """
     c1, c0, d0, d1 = job
     s, vu = service, bandwidth_unnormalized
-    D = np.where(d1 > 0.0, d1 / s, d0)
+    if d1 is None:
+        D = d0 if d0.shape == s.shape else np.broadcast_to(d0, s.shape)
+    else:
+        D = np.where(d1 > 0.0, d1 / s, d0)
     R = np.where(vu > 0.0, (c1 * s + c0) / vu, np.inf)
     if cold is not None:
         R = np.where(cold, D, R)
@@ -99,13 +103,18 @@ class Coefficients:
     manager instants between service updates; gain the factor on the
     observation. eps, kappa and upper are the step size, the core count
     and the per-app bandwidth cap max_total_bandwidth / cores.
+
+    None in d1, hi or gain stands for the identity: no deadline depends on
+    s, no ceiling, unit gain. The kernel then skips the operation, as it
+    skips kappa * v when kappa is 1; each skip is exact, so the result is
+    the same bits as with d1 = 0, hi = inf, gain = 1.
     """
-    job: Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+    job: Tuple[np.ndarray, np.ndarray, np.ndarray, Optional[np.ndarray]]
     lam: np.ndarray
     lo: np.ndarray
-    hi: np.ndarray
+    hi: Optional[np.ndarray]
     cadence: np.ndarray
-    gain: np.ndarray
+    gain: Optional[np.ndarray]
     eps: float
     kappa: int
     upper: float
@@ -115,38 +124,45 @@ def compile_apps(specs: Sequence[ApplicationSpec], platform: PlatformSpec,
                  mode: str) -> Coefficients:
     """Coefficient arrays of the apps in `specs` under an engine mode: sync
     updates every app at every instant; both async modes follow each app's
-    update_jobs, and async_compensated scales its observation by them."""
+    update_jobs, and async_compensated scales its observation by them.
+    d1, hi and gain are None when they are the identity for every app."""
     if mode not in MODES:
         raise ConfigurationError(f"unknown mode {mode!r}")
     job = np.array([a.model.coefficients for a in specs],
                    dtype=float).reshape(-1, 4).T.copy()
+    # measure may hand d0 out as the deadline itself
+    job.flags.writeable = False
+    c1, c0, d0, d1 = job
+    hi = np.array([math.inf if a.max_service is None else a.max_service
+                   for a in specs], dtype=float)
     cadence = np.array([1 if mode == "sync" else a.update_jobs
                         for a in specs], dtype=int)
+    gain = cadence.astype(float) if mode == "async_compensated" \
+        else np.ones(len(specs))
     return Coefficients(
-        job=tuple(job),
+        job=(c1, c0, d0, d1 if (d1 > 0.0).any() else None),
         lam=np.array([a.weight for a in specs], dtype=float),
         lo=np.array([a.min_service for a in specs], dtype=float),
-        hi=np.array([math.inf if a.max_service is None else a.max_service
-                     for a in specs], dtype=float),
+        hi=None if (hi == math.inf).all() else hi,
         cadence=cadence,
-        gain=cadence.astype(float) if mode == "async_compensated"
-        else np.ones(len(specs)),
+        gain=None if (gain == 1.0).all() else gain,
         eps=platform.step, kappa=platform.cores,
         upper=platform.max_total_bandwidth / platform.cores)
 
 
 def project_service(c: Coefficients, services: np.ndarray) -> np.ndarray:
     """Clamp service levels onto each app's [floor, ceiling]."""
-    return np.minimum(c.hi, np.maximum(c.lo, services))
+    floored = np.maximum(c.lo, services)
+    return floored if c.hi is None else np.minimum(c.hi, floored)
 
 
 def service_step(c: Coefficients, services: np.ndarray,
                  matchings: np.ndarray, due) -> np.ndarray:
     """The service recursion of the apps in the `due` mask: s + eps * gain
     * f, projected; the others keep their service."""
-    s = services
-    return np.where(due, project_service(c, s + c.eps * (c.gain * matchings)),
-                    s)
+    s, f = services, matchings
+    step = c.eps * (f if c.gain is None else c.gain * f)
+    return np.where(due, project_service(c, s + step), s)
 
 
 def due_mask(c: Coefficients, since: np.ndarray, k0: int, k1: int
@@ -190,7 +206,7 @@ def kernel_step(c: Coefficients, services: np.ndarray,
     feasible by construction (see project_bandwidth).
     """
     s, v = services, bandwidths
-    D, R, f = measure(c.job, s, c.kappa * v, cold)
+    D, R, f = measure(c.job, s, v if c.kappa == 1 else c.kappa * v, cold)
     F = fairness_vector(f, v, c.lam)
     v_next, clipped, total = project_bandwidth(v + c.eps * F, c.upper)
     return Step(D, R, f, F, service_step(c, s, f, due), v_next, clipped,

@@ -63,6 +63,11 @@ def _short(preset, instants=400, **changes):
                                **changes)
 
 
+def _cores(s, cores):
+    return dataclasses.replace(s, platform=dataclasses.replace(s.platform,
+                                                               cores=cores))
+
+
 def _tail_event(leave=3003, step=None):
     """async3 over 5,001 instants at stride 4: app2 leaves at instant
     `leave`, long after the first epoch settled into an exact cycle, so the
@@ -107,6 +112,12 @@ PINNED = {
     # which differs from the state at the instant the fill began
     "tail-event-2-cycle": (lambda: _tail_event(leave=1001, step=1.0),
         "6f564de7d378612071eec35f47f37facb2715d990ffc1ff72783b62f21bf314d"),
+    # two cores, so the measured bandwidth is kappa * v; recorded before
+    # the kernel skipped kappa * v at one core
+    "async3-2-cores": (lambda: _cores(_short("async3"), 2),
+        "1c8021dbda238f069315c94857f182b55aa7e662d39c613e233832d11f7b83df"),
+    "sync5-2-cores": (lambda: _cores(_short("sync5"), 2),
+        "921aaad59c4d5ca361935908c58ed4305946d2b26f82875cc67a45bb733d78ec"),
 }
 
 
@@ -212,6 +223,51 @@ def test_async_with_unit_cadence_is_sync(build, mode):
     assert np.array_equal(a.app, b.app)
     for name in COLUMNS:
         assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+
+@pytest.mark.parametrize("cores", [1, 2])
+def test_engine_matches_euler_oracle_on_every_job_kind(cores):
+    # control, synthetic and multimedia apps, bounded and unbounded
+    # ceilings: every branch of measure and of the service projection
+    s = _cores(_mixed(events=(), sample_stride=1, mode="sync"), cores)
+    engine = run_scenario(s)
+    oracle = run_scenario(dataclasses.replace(s, mode="ode_reference"))
+    assert np.array_equal(engine.app, oracle.app)
+    for name in COLUMNS:
+        assert np.array_equal(getattr(engine, name).view(np.int64),
+                              getattr(oracle, name).view(np.int64)), name
+
+
+def test_compiled_identities_match_the_general_form():
+    # no control app, no ceiling, unit gain, one core: compile_apps drops
+    # d1, hi and gain, and the kernel skips kappa * v
+    apps = tuple(a for a in _mixed().apps if a.id != "ctl")
+    apps = tuple(dataclasses.replace(a, max_service=None) for a in apps)
+    platform = _mixed().platform
+    compiled = compile_apps(apps, platform, "sync")
+    assert compiled.job[3] is None and compiled.hi is None \
+        and compiled.gain is None and compiled.kappa == 1
+    n = len(apps)
+    c1, c0, d0 = compiled.job[:3]
+    general = dataclasses.replace(
+        compiled, job=(c1, c0, d0, np.zeros(n)), hi=np.full(n, np.inf),
+        gain=np.ones(n))
+    rng = np.random.default_rng(3)
+    S = 64
+    # a floor of 0 and zero bandwidths reach the 0 / 0 and C / 0 branches
+    s = np.where(rng.random((S, n)) < 0.1, 0.0,
+                 rng.uniform(0.0, 5.0, (S, n)))
+    v = np.where(rng.random((S, n)) < 0.1, 0.0,
+                 rng.uniform(0.0, 1.0 / n, (S, n)))
+    due = rng.random((S, n)) < 0.5
+    for cold in (None, rng.random((S, n)) < 0.5):
+        with np.errstate(**QUIET):
+            want = kernel_step(general, s, v, due, cold)
+            got = kernel_step(compiled, s, v, due, cold)
+        for name, a, b in zip(want._fields, want, got):
+            assert a.shape == b.shape and a.dtype == b.dtype, name
+            assert np.array_equal(np.asarray(a).view(np.uint8),
+                                  np.asarray(b).view(np.uint8)), name
 
 
 def test_batched_rows_match_single_runs():

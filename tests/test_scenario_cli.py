@@ -536,6 +536,51 @@ apps:
         assert "initial_bandwidth" in err
         assert not (tmp_path / "out").exists()
 
+    def test_run_cores_beyond_float_range_exits_2(self, tmp_path, capsys):
+        # the cap max_total_bandwidth / cores needs cores as a float
+        doc = _sync5_doc(horizon=10.0 * MS)
+        doc["platform"]["cores"] = 10**400
+        cfg = tmp_path / "s.yaml"
+        cfg.write_text(yaml.safe_dump(doc))
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) \
+            == EXIT_VALIDATION
+        assert "platform.cores" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    # a key given twice in one mapping: YAML would keep the last value
+    @pytest.mark.parametrize("old, new, field", [
+        ("horizon: 5000000.0\n", "horizon: 5000000.0\nhorizon: 1000.0\n",
+         "scenario.horizon"),
+        ("  step: 0.05\n", "  step: 0.05\n  step: 0.5\n", "platform.step"),
+        ("  weight: 0.7\n", "  weight: 0.7\n  weight: 0.1\n",
+         "apps[1].weight"),
+        ("    a: 20.0\n", "    a: 20.0\n    a: 30.0\n", "apps[0].model.a"),
+    ], ids=["top", "platform", "app", "model"])
+    def test_run_repeated_key_exits_2_naming_it(self, tmp_path, capsys, old,
+                                                new, field):
+        text = emit(parse_scenario("sync5"))
+        assert old in text
+        cfg = tmp_path / "s.yaml"
+        cfg.write_text(text.replace(old, new, 1))
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) \
+            == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert field in err and "more than once" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_merge_key_override_is_not_a_repeat(self):
+        # `<<` merges the anchored app; the key given next to it overrides
+        # the merged one, which YAML defines and is no repeated key
+        text = re.sub(r"^apps:\n.*^events:", "events:",
+                      emit(parse_scenario("sync5")), flags=re.M | re.S)
+        text += ("apps:\n"
+                 "- &base {id: a, weight: 0.9, min_service: 1.0,"
+                 " initial_service: 2.0, model: {kind: multimedia,"
+                 " alpha: 200.0, deadline: 500.0}}\n"
+                 "- {<<: *base, id: b, weight: 0.5}\n")
+        s = parse_scenario_text(text)
+        assert [(a.id, a.weight) for a in s.apps] == [("a", 0.9), ("b", 0.5)]
+
     def test_ode_reference_validates_the_initial_state(self, tmp_path,
                                                        capsys):
         doc = _sync5_doc(horizon=5.0 * MS)
