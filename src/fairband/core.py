@@ -6,6 +6,7 @@ no function mutates its arguments.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
@@ -157,8 +158,10 @@ class PlatformSpec:
     max_total_bandwidth: float = 1.0
 
     def __post_init__(self):
-        if self.cores < 1:
-            raise ConfigurationError("cores must be >= 1")
+        # the per-app cap max_total_bandwidth / cores needs cores as a float
+        if not 1 <= self.cores <= sys.float_info.max:
+            raise ConfigurationError(
+                f"cores must be in [1, {sys.float_info.max!r}]")
         if not (self.step > 0.0):
             raise ConfigurationError("step must be positive")
         if not (self.match_tol > 0.0):

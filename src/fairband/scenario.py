@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import sys
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
@@ -216,16 +215,6 @@ def _integer(value, where: str) -> int:
     return value
 
 
-def _cores(value, where: str) -> int:
-    """A core count; the per-app cap max_total_bandwidth / cores divides by
-    it as a float, so a count beyond float range is refused."""
-    cores = _integer(value, where)
-    if cores > sys.float_info.max:
-        raise ConfigurationError(
-            f"{where} must be at most {sys.float_info.max!r}")
-    return cores
-
-
 def _parse_model(d, path: str) -> JobModel:
     _mapping(d, path, _MODEL_KEYS)
     kind = _want(d, "kind", path)
@@ -244,7 +233,7 @@ def _parse_model(d, path: str) -> JobModel:
 
 # the keys a platform or app mapping may hold, each with its reader; an
 # absent key takes the spec's default, and apps echo in this order
-_PLATFORM = {"cores": _cores, "step": _float, "match_tol": _float,
+_PLATFORM = {"cores": _integer, "step": _float, "match_tol": _float,
              "max_total_bandwidth": _float}
 _APP = {"id": _string, "weight": _float, "min_service": _float,
         "initial_service": _float, "update_jobs": _integer,

@@ -104,15 +104,15 @@ class Coefficients:
     observation. eps, kappa and upper are the step size, the core count
     and the per-app bandwidth cap max_total_bandwidth / cores.
 
-    None in d1, hi or gain stands for the identity: no deadline depends on
-    s, no ceiling, unit gain. The kernel then skips the operation, as it
-    skips kappa * v when kappa is 1; each skip is exact, so the result is
-    the same bits as with d1 = 0, hi = inf, gain = 1.
+    None in d1 or gain stands for the identity: no deadline depends on s,
+    unit gain. The kernel then skips the operation, as it skips kappa * v
+    when kappa is 1; each skip is exact, so the result is the same bits as
+    with d1 = 0, gain = 1.
     """
     job: Tuple[np.ndarray, np.ndarray, np.ndarray, Optional[np.ndarray]]
     lam: np.ndarray
     lo: np.ndarray
-    hi: Optional[np.ndarray]
+    hi: np.ndarray
     cadence: np.ndarray
     gain: Optional[np.ndarray]
     eps: float
@@ -125,7 +125,7 @@ def compile_apps(specs: Sequence[ApplicationSpec], platform: PlatformSpec,
     """Coefficient arrays of the apps in `specs` under an engine mode: sync
     updates every app at every instant; both async modes follow each app's
     update_jobs, and async_compensated scales its observation by them.
-    d1, hi and gain are None when they are the identity for every app."""
+    d1 and gain are None when they are the identity for every app."""
     if mode not in MODES:
         raise ConfigurationError(f"unknown mode {mode!r}")
     job = np.array([a.model.coefficients for a in specs],
@@ -133,8 +133,6 @@ def compile_apps(specs: Sequence[ApplicationSpec], platform: PlatformSpec,
     # measure may hand d0 out as the deadline itself
     job.flags.writeable = False
     c1, c0, d0, d1 = job
-    hi = np.array([math.inf if a.max_service is None else a.max_service
-                   for a in specs], dtype=float)
     cadence = np.array([1 if mode == "sync" else a.update_jobs
                         for a in specs], dtype=int)
     gain = cadence.astype(float) if mode == "async_compensated" \
@@ -143,7 +141,8 @@ def compile_apps(specs: Sequence[ApplicationSpec], platform: PlatformSpec,
         job=(c1, c0, d0, d1 if (d1 > 0.0).any() else None),
         lam=np.array([a.weight for a in specs], dtype=float),
         lo=np.array([a.min_service for a in specs], dtype=float),
-        hi=None if (hi == math.inf).all() else hi,
+        hi=np.array([math.inf if a.max_service is None else a.max_service
+                     for a in specs], dtype=float),
         cadence=cadence,
         gain=None if (gain == 1.0).all() else gain,
         eps=platform.step, kappa=platform.cores,
@@ -152,8 +151,7 @@ def compile_apps(specs: Sequence[ApplicationSpec], platform: PlatformSpec,
 
 def project_service(c: Coefficients, services: np.ndarray) -> np.ndarray:
     """Clamp service levels onto each app's [floor, ceiling]."""
-    floored = np.maximum(c.lo, services)
-    return floored if c.hi is None else np.minimum(c.hi, floored)
+    return np.minimum(c.hi, np.maximum(c.lo, services))
 
 
 def service_step(c: Coefficients, services: np.ndarray,

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from fairband import (ApplicationSpec, ConfigurationError, JobModel,
-                      fairness_vector, is_feasible, make_state, measure_job)
+                      PlatformSpec, fairness_vector, is_feasible, make_state,
+                      measure_job)
 
 
 class TestMatchingFromMeasurement:
@@ -79,6 +80,13 @@ class TestTypes:
     def test_make_state_balances(self):
         st_ = make_state([1.0, 2.0], [0.3, 0.3])
         assert st_.unused == pytest.approx(0.4, abs=1e-15)
+
+    def test_platform_cores_range(self):
+        # the per-app cap max_total_bandwidth / cores needs cores as a float
+        assert PlatformSpec(cores=2).cores == 2
+        for cores in (0, 10**400):
+            with pytest.raises(ConfigurationError, match="cores must be in"):
+                PlatformSpec(cores=cores)
 
     def test_job_model_validation(self):
         with pytest.raises(ConfigurationError):

@@ -239,19 +239,17 @@ def test_engine_matches_euler_oracle_on_every_job_kind(cores):
 
 
 def test_compiled_identities_match_the_general_form():
-    # no control app, no ceiling, unit gain, one core: compile_apps drops
-    # d1, hi and gain, and the kernel skips kappa * v
+    # no control app, unit gain, one core: compile_apps drops d1 and gain,
+    # and the kernel skips kappa * v
     apps = tuple(a for a in _mixed().apps if a.id != "ctl")
-    apps = tuple(dataclasses.replace(a, max_service=None) for a in apps)
     platform = _mixed().platform
     compiled = compile_apps(apps, platform, "sync")
-    assert compiled.job[3] is None and compiled.hi is None \
-        and compiled.gain is None and compiled.kappa == 1
+    assert compiled.job[3] is None and compiled.gain is None \
+        and compiled.kappa == 1
     n = len(apps)
     c1, c0, d0 = compiled.job[:3]
     general = dataclasses.replace(
-        compiled, job=(c1, c0, d0, np.zeros(n)), hi=np.full(n, np.inf),
-        gain=np.ones(n))
+        compiled, job=(c1, c0, d0, np.zeros(n)), gain=np.ones(n))
     rng = np.random.default_rng(3)
     S = 64
     # a floor of 0 and zero bandwidths reach the 0 / 0 and C / 0 branches

@@ -544,7 +544,7 @@ apps:
         cfg.write_text(yaml.safe_dump(doc))
         assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) \
             == EXIT_VALIDATION
-        assert "platform.cores" in capsys.readouterr().err
+        assert "platform: cores" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     # a key given twice in one mapping: YAML would keep the last value
