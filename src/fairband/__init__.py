@@ -8,7 +8,7 @@ checkers for every derived guarantee.
 """
 
 from .core import (ApplicationSpec, JobModel, PlatformSpec, SystemState,
-                   fairness_vector, is_feasible, make_state)
+                   fairness_vector, make_state)
 from .adaptation import RmUpdateResult, rm_step
 from .simkernel import (Coefficients, MembershipEvent, Trajectory,
                         apply_membership_event, compile_apps, kernel_step,

@@ -8,7 +8,7 @@ from typing import Sequence, Set, Tuple
 import numpy as np
 
 from .core import (SUM_TOL, ApplicationSpec, PlatformSpec, SystemState,
-                   fairness_vector, is_feasible)
+                   fairness_vector)
 from .errors import InvariantViolation
 
 
@@ -68,15 +68,15 @@ def rm_step(state: SystemState,
     """One bandwidth-adaptation step.
 
     Each normalized bandwidth moves by step * F_i and is projected onto
-    [0, max_total_bandwidth/cores], with any sum above 1 removed (see
+    [0, platform.upper], with any sum above 1 removed (see
     project_bandwidth).
     """
     vbar = state.bandwidths
-    kappa = platform.cores
-    if not is_feasible(kappa * vbar, kappa):
-        raise InvariantViolation("input state is not a feasible allocation")
+    if why := platform.breach(vbar, [a.id for a in specs]):
+        raise InvariantViolation(
+            f"input state is not a feasible allocation: {why}")
     lam = np.array([a.weight for a in specs], dtype=float)
     F = fairness_vector(matchings, vbar, lam)
     vnew, clipped, _ = project_bandwidth(vbar + platform.step * F,
-                                         platform.max_total_bandwidth / kappa)
+                                         platform.upper)
     return RmUpdateResult(vnew, F, set(int(i) for i in np.flatnonzero(clipped)))

@@ -61,26 +61,17 @@ def sweep_invariants(trajectory: Trajectory,
     v = trajectory.bandwidth
     times, inv = np.unique(trajectory.time, return_inverse=True)
     sums = np.bincount(inv, weights=v, minlength=len(times))
-    cap = 1.0 / platform.cores
-
-    box_bad = (v < -SUM_TOL) | (v > cap + SUM_TOL)
-    sum_bad = sums > 1.0 + SUM_TOL
-    feas_ok = not (box_bad.any() or sum_bad.any())
-    feas_at = None
-    if not feas_ok:
-        cands = []
-        if box_bad.any():
-            cands.append(float(trajectory.time[box_bad][0]))
-        if sum_bad.any():
-            cands.append(float(times[sum_bad][0]))
-        feas_at = min(cands)
+    # the instants whose sum, or some share, leaves the feasible set
+    bad = sums > 1.0 + SUM_TOL
+    bad[inv[(v < -SUM_TOL) | (v > platform.upper + SUM_TOL)]] = True
+    feas_at = float(times[bad][0]) if bad.any() else None
 
     starve_bad = v <= platform.step
     starve_ok = not starve_bad.any()
     starve_at = None if starve_ok else float(trajectory.time[starve_bad][0])
 
     return InvariantReport(
-        feasibility_ok=feas_ok,
+        feasibility_ok=feas_at is None,
         starvation_ok=starve_ok,
         feasibility_violation_at=feas_at,
         starvation_violation_at=starve_at,

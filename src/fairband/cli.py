@@ -25,9 +25,9 @@ import numpy as np
 from . import analysis, reference, scenario as scen
 from .errors import (ConfigurationError, ConvergenceError, FairbandError,
                      InvariantViolation)
-from .simkernel import Trajectory, run_scenario
+from .simkernel import VALUES, Trajectory, run_scenario
 
-CSV_HEADER = "time,app,service,bandwidth,deadline,response,matching,fairness"
+CSV_HEADER = ",".join(("time", "app") + VALUES)
 # one record per CSV row; the app id is the only non-float field
 _CSV_ROW = np.dtype([(name, object if name == "app" else float)
                      for name in CSV_HEADER.split(",")])
@@ -115,9 +115,7 @@ def run_bundle(scenario: scen.Scenario, out_dir: Path) -> Dict:
     """Execute a scenario, write trajectory.csv and summary.json into
     out_dir, and return the summary."""
     traj = run_scenario(scenario)
-    bounds = reference.compute_bounds(scenario.apps, scenario.platform,
-                                      n_bar=max(a.update_jobs
-                                                for a in scenario.apps))
+    bounds = reference.compute_bounds(scenario.apps, scenario.platform)
     report_obj = analysis.sweep_invariants(traj, scenario.platform)
     lam = [a.weight for a in scenario.apps]
     shares = reference.asymptotic_fair_share(lam, scenario.platform.cores)
@@ -266,8 +264,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             return EXIT_OK
         if args.verb == "bounds":
             s = _load(args)
-            bounds = reference.compute_bounds(
-                s.apps, s.platform, n_bar=max(a.update_jobs for a in s.apps))
+            bounds = reference.compute_bounds(s.apps, s.platform)
             out = dataclasses.asdict(bounds)
             if args.zeta is not None:
                 out["balance"] = dataclasses.asdict(

@@ -1,4 +1,4 @@
-"""Formula layer: fairness measure, feasibility, models.
+"""Formula layer: fairness measure, the feasible allocation, models.
 
 Everything here is stateless. Vectors are plain sequences or numpy arrays;
 no function mutates its arguments.
@@ -32,15 +32,6 @@ def fairness_vector(matchings, bandwidths, weights) -> np.ndarray:
     w = np.multiply(weights, np.minimum(matchings, 0.0))
     total = np.add.reduce(w, axis=-1, keepdims=True)
     return -(1.0 - vbar) * w + vbar * (total - w)
-
-
-def is_feasible(bandwidths: Sequence[float], cores: int) -> bool:
-    """True iff each un-normalized v_i is in [0, 1] and their sum is <= cores."""
-    v = np.asarray(bandwidths, dtype=float)
-    if v.size == 0:
-        return True
-    return bool(np.all(v >= -SUM_TOL) and np.all(v <= 1.0 + SUM_TOL)
-                and v.sum() <= cores + SUM_TOL)
 
 
 @dataclass(frozen=True)
@@ -158,7 +149,7 @@ class PlatformSpec:
     max_total_bandwidth: float = 1.0
 
     def __post_init__(self):
-        # the per-app cap max_total_bandwidth / cores needs cores as a float
+        # the per-app cap `upper` needs cores as a float
         if not 1 <= self.cores <= sys.float_info.max:
             raise ConfigurationError(
                 f"cores must be in [1, {sys.float_info.max!r}]")
@@ -168,6 +159,22 @@ class PlatformSpec:
             raise ConfigurationError("match_tol must be positive")
         if not (0.0 < self.max_total_bandwidth <= 1.0):
             raise ConfigurationError("max_total_bandwidth must be in (0, 1]")
+
+    @property
+    def upper(self) -> float:
+        """The per-app cap on a normalized bandwidth."""
+        return self.max_total_bandwidth / self.cores
+
+    def breach(self, bandwidths, ids: Sequence[str]) -> Optional[str]:
+        """None when the normalized bandwidths lie in [0, upper] and sum to
+        at most 1, to within SUM_TOL; otherwise the first app outside the
+        box (named from `ids`) with its value, else the sum."""
+        v = np.asarray(bandwidths, dtype=float)
+        for i in np.flatnonzero((v < -SUM_TOL) | (v > self.upper + SUM_TOL)):
+            return f"app {ids[i]} has {v[i]}, outside [0, {self.upper}]"
+        if v.sum() > 1.0 + SUM_TOL:
+            return f"the sum is {v.sum()}, above 1"
+        return None
 
 
 @dataclass(frozen=True)

@@ -12,8 +12,8 @@ from .adaptation import project_bandwidth
 from .core import (SUM_TOL, ApplicationSpec, PlatformSpec, SystemState,
                    fairness_vector)
 from .errors import ConfigurationError, ConvergenceError
-from .simkernel import (VALUES, Trajectory, check_budget, compile_apps,
-                        instants, project_service)
+from .simkernel import (QUIET, VALUES, Trajectory, check_budget,
+                        compile_apps, instants, project_service)
 
 
 @dataclass(frozen=True)
@@ -40,8 +40,8 @@ def _sup_matching(spec: ApplicationSpec, cores: int) -> float:
     return m.effective_beta * cores / spec.min_service - 1.0
 
 
-def compute_bounds(specs: Sequence[ApplicationSpec], platform: PlatformSpec,
-                   n_bar: int = 1) -> TheoreticalBounds:
+def compute_bounds(specs: Sequence[ApplicationSpec],
+                   platform: PlatformSpec) -> TheoreticalBounds:
     lam = np.array([a.weight for a in specs], dtype=float)
     if lam.size == 0:
         raise ConfigurationError("at least one application is required")
@@ -53,7 +53,7 @@ def compute_bounds(specs: Sequence[ApplicationSpec], platform: PlatformSpec,
         lambda_min=float(lam.min()),
         epsilon_star=1.0 / ((L + 1.0) * platform.cores),
         ell=ell,
-        n_bar=max(1, n_bar),
+        n_bar=max(a.update_jobs for a in specs),
     )
 
 
@@ -219,8 +219,7 @@ def integrate_ode(initial: SystemState, specs: Sequence[ApplicationSpec],
     s = initial.services.copy()
     v = initial.bandwidths.copy()
     rec = np.empty((steps, len(VALUES), len(specs)))
-    # a synthetic app floored at s = 0 divides 0 by 0 in the unselected branch
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(**QUIET):
         for k in range(steps):
             D = d0 if d1 is None else np.where(d1 > 0.0, d1 / s, d0)
             if k == 0:

@@ -16,8 +16,8 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 import yaml
 
-from .core import (SUM_TOL, ApplicationSpec, JobModel, PlatformSpec,
-                   SystemState, make_state)
+from .core import (ApplicationSpec, JobModel, PlatformSpec, SystemState,
+                   make_state)
 from .errors import ConfigurationError
 from .simkernel import MODES, MembershipEvent, instants
 
@@ -104,28 +104,21 @@ class Scenario:
 
     def initial_state(self) -> SystemState:
         """Starting (services, bandwidths); apps without an explicit initial
-        bandwidth share the remainder equally. Refuses bandwidths outside
-        the platform."""
+        bandwidth share the remainder equally, up to the per-app cap.
+        Refuses an allocation the platform does not admit."""
+        p = self.platform
         s = np.array([a.initial_service for a in self.apps], dtype=float)
         v = np.array([math.nan if a.initial_bandwidth is None
                       else a.initial_bandwidth for a in self.apps])
         unset = np.isnan(v)
         if unset.any():
-            left = 1.0 - np.nansum(v)
-            if left < 0.0:
-                raise ConfigurationError("explicit initial bandwidths exceed 1")
-            cap = self.platform.max_total_bandwidth / self.platform.cores
-            v[unset] = min(cap, left / int(unset.sum()))
-        if v.sum() > 1.0 + SUM_TOL:
-            raise ConfigurationError("initial bandwidths exceed the platform")
-        cores = self.platform.cores
-        over = np.flatnonzero(v > 1.0 / cores + SUM_TOL)
-        if len(over):
-            i = over[0]
+            left = max(0.0, 1.0 - np.nansum(v))
+            v[unset] = min(p.upper, left / int(unset.sum()))
+        if why := p.breach(v, [a.id for a in self.apps]):
             raise ConfigurationError(
-                f"app {self.apps[i].id}: initial_bandwidth {v[i]} is outside "
-                f"[0, 1/cores] = [0, {1.0 / cores}], with cores from "
-                f"platform.cores = {cores}")
+                f"initial_bandwidth: {why}; the cap comes from platform."
+                f"max_total_bandwidth {p.max_total_bandwidth} and "
+                f"platform.cores {p.cores}")
         return make_state(s, v)
 
     def echo(self) -> Dict:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .adaptation import project_bandwidth
 from .core import (SUM_TOL, ApplicationSpec, JobModel, PlatformSpec,
-                   SystemState, fairness_vector, is_feasible, make_state)
+                   SystemState, fairness_vector, make_state)
 from .errors import AdmissionError, ConfigurationError, InvariantViolation
 
 
@@ -102,7 +102,7 @@ class Coefficients:
     and hi the service floor and ceiling (inf when unbounded); cadence the
     manager instants between service updates; gain the factor on the
     observation. eps, kappa and upper are the step size, the core count
-    and the per-app bandwidth cap max_total_bandwidth / cores.
+    and the per-app bandwidth cap (PlatformSpec.upper).
 
     None in d1 or gain stands for the identity: no deadline depends on s,
     unit gain. The kernel then skips the operation, as it skips kappa * v
@@ -145,8 +145,7 @@ def compile_apps(specs: Sequence[ApplicationSpec], platform: PlatformSpec,
                      for a in specs], dtype=float),
         cadence=cadence,
         gain=None if (gain == 1.0).all() else gain,
-        eps=platform.step, kappa=platform.cores,
-        upper=platform.max_total_bandwidth / platform.cores)
+        eps=platform.step, kappa=platform.cores, upper=platform.upper)
 
 
 def project_service(c: Coefficients, services: np.ndarray) -> np.ndarray:
@@ -300,8 +299,7 @@ def apply_membership_event(state: SystemState, event: MembershipEvent,
         if any(a.id == event.spec.id for a in specs):
             raise ConfigurationError(f"app id {event.spec.id!r} already live")
         # within the per-app cap that project_bandwidth enforces
-        seed = min(platform.step, state.unused,
-                   platform.max_total_bandwidth / platform.cores)
+        seed = min(platform.step, state.unused, platform.upper)
         if seed <= 0.0:
             raise AdmissionError(
                 f"cannot admit {event.spec.id!r}: no unused bandwidth for the seed")
@@ -346,14 +344,14 @@ def run_scenario(scenario) -> Trajectory:
                                          for e in scenario.events))
     # an event applies at the instant nearest its time, which must lie
     # within 1e-9 periods of it; one before the run applies at instant 0
-    by_instant: Dict[int, List[MembershipEvent]] = {}
-    for e in sorted(scenario.events, key=lambda e: e.time):
+    by_instant: Dict[int, List[Tuple[int, MembershipEvent]]] = {}
+    for j, e in sorted(enumerate(scenario.events), key=lambda p: p[1].time):
         r = e.time / period
         k = round(r)
         if abs(r - k) > 1e-9:
             raise ConfigurationError(
-                f"membership event at {e.time} is not aligned to a manager instant")
-        by_instant.setdefault(max(0, k), []).append(e)
+                f"events[{j}].time {e.time} falls between manager instants")
+        by_instant.setdefault(max(0, k), []).append((j, e))
     recorded = np.zeros(steps, dtype=bool)
     recorded[::scenario.sample_stride] = True
     recorded[-1] = True
@@ -365,16 +363,23 @@ def run_scenario(scenario) -> Trajectory:
     limit = 1.0 + SUM_TOL
     with np.errstate(**QUIET):
         for k0, k1 in zip(edges, edges[1:]):
-            for e in by_instant.get(k0, ()):
-                state, specs = apply_membership_event(make_state(s, v), e,
-                                                      platform, specs)
+            for j, e in by_instant.get(k0, ()):
+                try:
+                    state, specs = apply_membership_event(
+                        make_state(s, v), e, platform, specs)
+                except ConfigurationError as exc:
+                    field = "app.id" if e.action == "join" else "app"
+                    raise ConfigurationError(
+                        f"events[{j}].{field}: {exc}") from exc
                 s, v = state.services, state.bandwidths
                 if e.action == "join":
                     joined[e.spec.id] = k0
             c = compile_apps(specs, platform, scenario.mode)
-            if k0 < steps - 1 and not is_feasible(c.kappa * v, c.kappa):
+            ids = [a.id for a in specs]
+            if k0 < steps - 1 and (why := platform.breach(v, ids)):
                 raise InvariantViolation(
-                    "input state is not a feasible allocation", step=k0)
+                    f"input state is not a feasible allocation: {why}",
+                    step=k0)
             since = np.array([joined[a.id] for a in specs], dtype=int)
             rec = np.empty((k1 - k0, len(VALUES), len(specs)))
             cold = since == k0
@@ -404,12 +409,11 @@ def run_scenario(scenario) -> Trajectory:
                 rec[i] = (s, v, r.deadline, r.response, r.matching, r.fairness)
                 s, v = r.services, r.bandwidths
                 # rows within the sum limit are the clip alone, in the box
-                if r.total > limit and (v.sum() > limit or v.min() < -SUM_TOL
-                                        or v.max() > c.upper + SUM_TOL):
+                if r.total > limit and (why := platform.breach(v, ids)):
                     raise InvariantViolation(
-                        "bandwidth allocation left the feasible set",
+                        f"bandwidth allocation left the feasible set: {why}",
                         step=k0 + i)
             keep = recorded[k0:k1]
-            blocks.append(((np.flatnonzero(keep) + k0) * period,
-                           [a.id for a in specs], rec[keep]))
+            blocks.append(((np.flatnonzero(keep) + k0) * period, ids,
+                           rec[keep]))
     return Trajectory.from_records(blocks)

@@ -302,7 +302,7 @@ def test_criterion_08_asynchronous_equivalence_bounds():
                           horizon=2000.0, mode="async_compensated")
         async_traj = fb.run_scenario(scn)
         sync_traj = fb.run_scenario(dataclasses.replace(scn, mode="sync"))
-        bounds = fb.compute_bounds(apps, platform, n_bar=int(cadence.max()))
+        bounds = fb.compute_bounds(apps, platform)
         b1, b2 = fb.equivalence_bound(eps, bounds.ell, bounds.n_bar)
         dev = max(fb.sup_deviation_per_app(
             fb.interpolate(async_traj, "service"),

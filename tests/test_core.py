@@ -3,8 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from fairband import (ApplicationSpec, ConfigurationError, JobModel,
-                      PlatformSpec, fairness_vector, is_feasible, make_state,
-                      measure_job)
+                      PlatformSpec, fairness_vector, make_state, measure_job)
 
 
 class TestMatchingFromMeasurement:
@@ -58,17 +57,27 @@ class TestFairnessMeasure:
 
 
 class TestFeasibility:
+    # PlatformSpec.breach on normalized bandwidths of apps "a" and "b"
+    def _breach(self, v, **platform):
+        return PlatformSpec(**platform).breach(v, ["a", "b"])
+
     def test_boundary_sum(self):
-        assert is_feasible([0.5, 0.5], 1)
+        assert self._breach([0.5, 0.5], cores=1) is None
 
     def test_sum_exceeds_cores(self):
-        assert not is_feasible([0.6, 0.6], 1)
+        assert self._breach([0.6, 0.6], cores=1) == "the sum is 1.2, above 1"
 
     def test_per_core_cap(self):
-        assert is_feasible([1.0, 1.0], 2)
+        assert self._breach([0.5, 0.5], cores=2) is None
 
     def test_negative_rejected(self):
-        assert not is_feasible([-0.1, 0.5], 1)
+        assert self._breach([-0.1, 0.5], cores=1) \
+            == "app a has -0.1, outside [0, 1.0]"
+
+    def test_above_cap_rejected(self):
+        assert PlatformSpec(max_total_bandwidth=0.5).upper == 0.5
+        assert self._breach([0.3, 0.6], max_total_bandwidth=0.5) \
+            == "app b has 0.6, outside [0, 0.5]"
 
 
 class TestTypes:

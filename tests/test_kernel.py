@@ -319,6 +319,8 @@ def test_infeasible_excess_removal_is_caught(monkeypatch, breach):
     with pytest.raises(InvariantViolation) as info:
         run_scenario(s)
     assert info.value.step == first
+    if breach != "sum":
+        assert f"app {s.apps[0].id} has" in str(info.value)
 
 
 @pytest.mark.parametrize("mode", ["async_compensated", "ode_reference"])

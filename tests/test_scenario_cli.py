@@ -1,16 +1,21 @@
+import contextlib
 import dataclasses
+import io
 import json
 import math
 import re
+import tempfile
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings, strategies as st
 
 from fairband import (ConfigurationError, MembershipEvent, parse_scenario,
                       parse_scenario_text, run_scenario)
+from fairband.core import SUM_TOL
 from fairband.cli import (CSV_HEADER, EXIT_INVARIANT, EXIT_IO, EXIT_OK,
                           EXIT_VALIDATION, _jsonable, main,
                           read_trajectory_csv, write_trajectory_csv)
@@ -485,9 +490,27 @@ apps:
         (lambda d, t=t: d.update(events=[{"time": t, "action": "leave",
                                           "app": "app1"}]), "events[0].time")
         for t in (math.nan, math.inf, -math.inf)
+    ] + [
+        # the bad event is listed second but applies first: errors count
+        # events in config order
+        (lambda d, bad=bad: d.update(events=[
+            {"time": 3.0 * MS, "action": "leave", "app": "app2"}, bad]),
+         field)
+        for bad, field in (
+            ({"time": 2.5 * MS, "action": "leave", "app": "app1"},
+             "events[1].time"),
+            ({"time": 2.0 * MS, "action": "leave", "app": "nobody"},
+             "events[1].app"),
+            ({"time": 2.0 * MS, "action": "join",
+              "app": {"id": "app1", "weight": 0.5, "min_service": 1.0,
+                      "initial_service": 1.0, "model": {
+                          "kind": "multimedia", "alpha": 1.0,
+                          "deadline": 1.0}}},
+             "events[1].app.id"))
     ], ids=["platform-list", "event-int", "events-int", "horizon",
             "rm_period", "step", "event-time", "update_jobs-2**63",
-            "event-time-nan", "event-time-inf", "event-time--inf"])
+            "event-time-nan", "event-time-inf", "event-time--inf",
+            "event-misaligned", "leave-unknown", "join-live"])
     def test_run_bad_field_exits_2_naming_it(self, tmp_path, capsys, edit,
                                              field):
         doc = _sync5_doc(horizon=5.0 * MS)
@@ -534,6 +557,35 @@ apps:
         err = capsys.readouterr().err
         assert "platform.cores" in err and "app1" in err
         assert "initial_bandwidth" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_share_within_tolerance_of_a_two_core_cap_runs(self, tmp_path):
+        # 7e-13 above the cap 1/2: inside the normalized tolerance SUM_TOL,
+        # which every check of the feasible set applies alike
+        doc = _sync5_doc(horizon=20.0 * MS)
+        doc["platform"].update(cores=2, max_total_bandwidth=1.0)
+        for app, v in zip(doc["apps"], [0.5000000000007] + [0.1] * 4):
+            app["initial_bandwidth"] = v
+        cfg = tmp_path / "s.yaml"
+        cfg.write_text(yaml.safe_dump(doc))
+        for mode in ("sync", "async_compensated", "ode_reference"):
+            assert main(["run", str(cfg), "--mode", mode,
+                         "--out", str(tmp_path / mode)]) == EXIT_OK
+        assert (tmp_path / "sync" / "trajectory.csv").read_bytes() \
+            == (tmp_path / "ode_reference" / "trajectory.csv").read_bytes()
+
+    def test_run_initial_share_above_the_cap_exits_2(self, tmp_path, capsys):
+        doc = _sync5_doc(horizon=5.0 * MS)
+        doc["platform"]["max_total_bandwidth"] = 0.5
+        for app, v in zip(doc["apps"], [0.9] + [0.025] * 4):
+            app["initial_bandwidth"] = v
+        cfg = tmp_path / "s.yaml"
+        cfg.write_text(yaml.safe_dump(doc))
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) \
+            == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "app1" in err and "initial_bandwidth" in err
+        assert "platform.max_total_bandwidth" in err
         assert not (tmp_path / "out").exists()
 
     def test_run_cores_beyond_float_range_exits_2(self, tmp_path, capsys):
@@ -738,3 +790,43 @@ events:
         traj = read_trajectory_csv(out / "trajectory.csv")
         joiner = traj.per_app("bandwidth")["b"]
         assert joiner[0][0] == 5.0 and joiner[1][0] == cap
+
+
+@st.composite
+def _near_a_face(draw):
+    """(cores, max_total_bandwidth, shares): normalized shares, each in the
+    [0, 1] a config admits, with one of them put within a few SUM_TOL of
+    the floor, the cap or the sum face of the feasible set."""
+    cores = draw(st.sampled_from([1, 2, 3]))
+    cap = draw(st.sampled_from([1.0, 0.5]))
+    upper = cap / cores
+    v = draw(st.lists(st.floats(0.0, upper), min_size=1, max_size=4))
+    i = draw(st.integers(0, len(v) - 1))
+    # the value of v[i] on the floor, the cap or the sum face
+    face = draw(st.sampled_from([0.0, upper, 1.0 - (sum(v) - v[i])]))
+    v[i] = min(1.0, max(0.0, face + draw(st.floats(-3.0, 3.0)) * SUM_TOL))
+    return cores, cap, v
+
+
+@settings(max_examples=30, deadline=None)
+@given(_near_a_face())
+def test_initial_state_admits_exactly_the_feasible_set(case):
+    cores, cap, v = case
+    doc = _sync5_doc(horizon=3.0 * MS)
+    doc["platform"].update(cores=cores, max_total_bandwidth=cap)
+    doc["apps"] = [dict(a, initial_bandwidth=x)
+                   for a, x in zip(doc["apps"], v)]
+    s = scenario_from_dict(doc)
+    if s.platform.breach(v, [a.id for a in s.apps]):
+        with pytest.raises(ConfigurationError, match="initial_bandwidth"):
+            s.initial_state()
+        return
+    # every feasible allocation is admitted and runs, in the engine and in
+    # the oracle
+    with tempfile.TemporaryDirectory() as tmp, \
+            contextlib.redirect_stdout(io.StringIO()):
+        cfg = Path(tmp) / "s.yaml"
+        cfg.write_text(yaml.safe_dump(doc))
+        for mode in ("sync", "ode_reference"):
+            assert main(["run", str(cfg), "--mode", mode,
+                         "--out", str(Path(tmp) / mode)]) == EXIT_OK
