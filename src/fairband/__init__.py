@@ -11,8 +11,8 @@ from .core import (ApplicationSpec, JobModel, PlatformSpec, SystemState,
                    fairness_vector, make_state)
 from .adaptation import RmUpdateResult, rm_step
 from .simkernel import (Coefficients, MembershipEvent, Trajectory,
-                        apply_membership_event, compile_apps, kernel_step,
-                        measure_job, run_scenario, service_step)
+                        compile_apps, kernel_step, measure_job, run_scenario,
+                        service_step)
 from .reference import (BalanceThresholds, StationaryPoint, TheoreticalBounds,
                         asymptotic_fair_share, balance_thresholds,
                         compute_bounds, equivalence_bound, integrate_ode,

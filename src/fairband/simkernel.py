@@ -10,7 +10,7 @@ and may join or leave mid-run.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -18,7 +18,7 @@ import numpy as np
 
 from .adaptation import project_bandwidth
 from .core import (SUM_TOL, ApplicationSpec, JobModel, PlatformSpec,
-                   SystemState, fairness_vector, make_state)
+                   fairness_vector)
 from .errors import AdmissionError, ConfigurationError, InvariantViolation
 
 
@@ -94,9 +94,8 @@ def measure_job(model: JobModel, service: float,
 
 @dataclass(frozen=True)
 class Coefficients:
-    """What the step kernel needs to know about the live apps of one
-    membership epoch, compiled to arrays whose last axis is the app axis
-    (a scalar broadcasts as the same value for every app).
+    """What the step kernel needs to know about a set of apps, as arrays
+    whose last axis is the app axis (a scalar is the same for every app).
 
     job is (c1, c0, d0, d1) of JobModel.coefficients; lam the weights; lo
     and hi the service floor and ceiling (inf when unbounded); cadence the
@@ -104,10 +103,9 @@ class Coefficients:
     observation. eps, kappa and upper are the step size, the core count
     and the per-app bandwidth cap (PlatformSpec.upper).
 
-    None in d1 or gain stands for the identity: no deadline depends on s,
-    unit gain. The kernel then skips the operation, as it skips kappa * v
-    when kappa is 1; each skip is exact, so the result is the same bits as
-    with d1 = 0, gain = 1.
+    None in d1 or gain is the identity (no deadline depends on s; unit
+    gain): the kernel skips it, as it skips kappa * v at kappa = 1. Each
+    skip is exact: the result has the bits of d1 = 0, gain = 1.
     """
     job: Tuple[np.ndarray, np.ndarray, np.ndarray, Optional[np.ndarray]]
     lam: np.ndarray
@@ -128,24 +126,34 @@ def compile_apps(specs: Sequence[ApplicationSpec], platform: PlatformSpec,
     d1 and gain are None when they are the identity for every app."""
     if mode not in MODES:
         raise ConfigurationError(f"unknown mode {mode!r}")
-    job = np.array([a.model.coefficients for a in specs],
-                   dtype=float).reshape(-1, 4).T.copy()
-    # measure may hand d0 out as the deadline itself
-    job.flags.writeable = False
-    c1, c0, d0, d1 = job
+    c1, c0, d0, d1 = np.array([a.model.coefficients for a in specs],
+                              dtype=float).reshape(-1, 4).T
     cadence = np.array([1 if mode == "sync" else a.update_jobs
                         for a in specs], dtype=int)
-    gain = cadence.astype(float) if mode == "async_compensated" \
-        else np.ones(len(specs))
-    return Coefficients(
-        job=(c1, c0, d0, d1 if (d1 > 0.0).any() else None),
+    return gather(Coefficients(
+        job=(c1, c0, d0, d1),
         lam=np.array([a.weight for a in specs], dtype=float),
         lo=np.array([a.min_service for a in specs], dtype=float),
         hi=np.array([math.inf if a.max_service is None else a.max_service
                      for a in specs], dtype=float),
         cadence=cadence,
-        gain=None if (gain == 1.0).all() else gain,
-        eps=platform.step, kappa=platform.cores, upper=platform.upper)
+        gain=cadence.astype(float) if mode == "async_compensated" else None,
+        eps=platform.step, kappa=platform.cores, upper=platform.upper),
+        np.arange(len(specs)))
+
+
+def gather(c: Coefficients, live: np.ndarray) -> Coefficients:
+    """The apps at the int indices `live` of the table `c`, in that order,
+    with d1 and gain set to None where they are the identity for all of
+    them."""
+    c1, c0, d0, d1, gain = (x if x is None else x[live]
+                            for x in (*c.job, c.gain))
+    d0.flags.writeable = False      # measure may hand d0 out as D itself
+    return replace(
+        c, job=(c1, c0, d0, None if d1 is None or not (d1 > 0.0).any()
+                else d1),
+        lam=c.lam[live], lo=c.lo[live], hi=c.hi[live], cadence=c.cadence[live],
+        gain=None if gain is None or (gain == 1.0).all() else gain)
 
 
 def project_service(c: Coefficients, services: np.ndarray) -> np.ndarray:
@@ -167,11 +175,7 @@ def due_mask(c: Coefficients, since: np.ndarray, k0: int, k1: int
     """(k1 - k0, n) bools: which apps update their service at each instant
     k0 <= k < k1, given the instant each joined. An app is due when the
     instants since it joined are a multiple of its cadence."""
-    due = np.empty((k1 - k0, len(since)), dtype=bool)
-    for cad in np.unique(c.cadence):
-        cols = np.flatnonzero(c.cadence == cad)
-        due[:, cols] = (np.arange(k0, k1) % cad)[:, None] == since[cols] % cad
-    return due
+    return (np.arange(k0, k1)[:, None] - since) % c.cadence == 0
 
 
 class Step(NamedTuple):
@@ -234,6 +238,15 @@ VALUES = ("service", "bandwidth", "deadline", "response", "matching",
           "fairness")
 
 
+class Epoch(NamedTuple):
+    """The instants k0 <= k < k1 of one live app set, in run_scenario."""
+    k0: int
+    k1: int
+    ids: Tuple[str, ...]
+    period: int                     # of the fill from some instant on, or 0
+    steps: int                      # kernel_step calls
+
+
 @dataclass
 class Trajectory:
     """Columnar record of a run: one row per (manager instant, live app)."""
@@ -245,6 +258,9 @@ class Trajectory:
     response: np.ndarray
     matching: np.ndarray
     fairness: np.ndarray
+    # how the engine ran them; None when read from CSV or by the oracle
+    epochs: Optional[List[Epoch]] = field(default=None, repr=False,
+                                          compare=False)
 
     def __len__(self) -> int:
         return len(self.time)
@@ -286,43 +302,15 @@ class Trajectory:
                 for aid, a, b in zip(ids, starts, ends)}
 
 
-def apply_membership_event(state: SystemState, event: MembershipEvent,
-                           platform: PlatformSpec,
-                           specs: Sequence[ApplicationSpec]
-                           ) -> Tuple[SystemState, List[ApplicationSpec]]:
-    """Resize the state for a join or leave; bandwidth is conserved through
-    the unused pool."""
-    specs = list(specs)
-    s = state.services
-    v = state.bandwidths
-    if event.action == "join":
-        if any(a.id == event.spec.id for a in specs):
-            raise ConfigurationError(f"app id {event.spec.id!r} already live")
-        # within the per-app cap that project_bandwidth enforces
-        seed = min(platform.step, state.unused, platform.upper)
-        if seed <= 0.0:
-            raise AdmissionError(
-                f"cannot admit {event.spec.id!r}: no unused bandwidth for the seed")
-        specs.append(event.spec)
-        s = np.append(s, event.spec.initial_service)
-        v = np.append(v, seed)
-        return make_state(s, v), specs
-    idx = next((i for i, a in enumerate(specs) if a.id == event.app_id), None)
-    if idx is None:
-        raise ConfigurationError(f"leave event for unknown app {event.app_id!r}")
-    specs.pop(idx)
-    return make_state(np.delete(s, idx), np.delete(v, idx)), specs
-
-
 def run_scenario(scenario) -> Trajectory:
     """Advance one scenario over its whole horizon and record every manager
     instant. See the scenario module for the scenario object itself.
 
-    Membership events split the run into epochs with a fixed app set; each
-    epoch compiles its apps and their due masks once and steps them with
-    kernel_step. An epoch whose state repeats bit for bit after L or 2L
-    instants, L the lcm of its cadences, is filled by repetition from there
-    on.
+    Every app the run ever admits is compiled once, into one table in
+    first-appearance order; membership events split the run into epochs,
+    each an index array `live` into that table, stepped with kernel_step.
+    An epoch whose state repeats bit for bit after L or 2L instants, L the
+    lcm of its cadences, is filled by repetition from there on.
     """
     platform: PlatformSpec = scenario.platform
     specs: List[ApplicationSpec] = list(scenario.apps)
@@ -338,50 +326,60 @@ def run_scenario(scenario) -> Trajectory:
         from .reference import integrate_ode
         return integrate_ode(state, specs, platform, platform.step,
                              scenario.horizon, rm_period=scenario.rm_period)
-    period = scenario.rm_period
-    steps = scenario.steps
-    check_budget(steps, len(specs) + sum(e.action == "join"
-                                         for e in scenario.events))
-    # an event applies at the instant nearest its time, which must lie
-    # within 1e-9 periods of it; one before the run applies at instant 0
-    by_instant: Dict[int, List[Tuple[int, MembershipEvent]]] = {}
+    period, steps = scenario.rm_period, scenario.steps
+    # every event is checked on ids, in time order, past the horizon too.
+    # It applies at the instant nearest its time, which must lie within
+    # 1e-9 periods of it; one before the run applies at instant 0. A join
+    # adds its spec to the run's table, and keeps its row there.
+    by_instant: Dict[int, List[Tuple[MembershipEvent, int]]] = {}
+    live_ids = {a.id for a in specs}
     for j, e in sorted(enumerate(scenario.events), key=lambda p: p[1].time):
-        r = e.time / period
-        k = round(r)
-        if abs(r - k) > 1e-9:
+        if abs((r := e.time / period) - (k := round(r))) > 1e-9:
             raise ConfigurationError(
                 f"events[{j}].time {e.time} falls between manager instants")
-        by_instant.setdefault(max(0, k), []).append((j, e))
+        join = e.action == "join"
+        aid = e.spec.id if join else e.app_id
+        if (aid in live_ids) == join:
+            raise ConfigurationError(
+                f"events[{j}].app.id: app id {aid!r} already live" if join
+                else f"events[{j}].app: leave event for unknown app {aid!r}")
+        live_ids ^= {aid}               # a join adds the id, a leave drops it
+        specs += [e.spec] if join else []
+        by_instant.setdefault(max(0, k), []).append((e, len(specs) - 1))
+    check_budget(steps, len(specs))
+    table = compile_apps(specs, platform, scenario.mode)
     recorded = np.zeros(steps, dtype=bool)
     recorded[::scenario.sample_stride] = True
     recorded[-1] = True
-
+    ids = tuple(a.id for a in scenario.apps)
+    live, since = np.arange(len(ids)), np.zeros(len(ids), dtype=int)
     s, v = state.services, state.bandwidths
-    joined = {a.id: 0 for a in specs}
     edges = sorted({0, steps, *(k for k in by_instant if k < steps)})
-    blocks = []
+    blocks, epochs = [], []
     limit = 1.0 + SUM_TOL
     with np.errstate(**QUIET):
         for k0, k1 in zip(edges, edges[1:]):
-            for j, e in by_instant.get(k0, ()):
-                try:
-                    state, specs = apply_membership_event(
-                        make_state(s, v), e, platform, specs)
-                except ConfigurationError as exc:
-                    field = "app.id" if e.action == "join" else "app"
-                    raise ConfigurationError(
-                        f"events[{j}].{field}: {exc}") from exc
-                s, v = state.services, state.bandwidths
-                if e.action == "join":
-                    joined[e.spec.id] = k0
-            c = compile_apps(specs, platform, scenario.mode)
-            ids = [a.id for a in specs]
+            for e, row in by_instant.get(k0, ()):
+                if e.action == "leave":
+                    i = ids.index(e.app_id)
+                    ids = ids[:i] + ids[i + 1:]
+                    live, since, s, v = (np.concatenate((x[:i], x[i + 1:]))
+                                         for x in (live, since, s, v))
+                    continue
+                # within the per-app cap that project_bandwidth enforces
+                seed = min(platform.step, 1.0 - float(v.sum()), platform.upper)
+                if seed <= 0.0:
+                    raise AdmissionError(f"cannot admit {e.spec.id!r}: no "
+                                         f"unused bandwidth for the seed")
+                ids += (e.spec.id,)
+                live, since = np.append(live, row), np.append(since, k0)
+                s, v = np.append(s, e.spec.initial_service), np.append(v, seed)
+            c = gather(table, live)
             if k0 < steps - 1 and (why := platform.breach(v, ids)):
                 raise InvariantViolation(
                     f"input state is not a feasible allocation: {why}",
                     step=k0)
-            since = np.array([joined[a.id] for a in specs], dtype=int)
-            rec = np.empty((k1 - k0, len(VALUES), len(specs)))
+            rec = np.empty((k1 - k0, len(VALUES), len(ids)))
             cold = since == k0
             # past the cold start an instant's step depends only on the
             # entering state and on the due masks, which repeat every L
@@ -391,7 +389,7 @@ def run_scenario(scenario) -> Trajectory:
             # check. 2L also catches a cycle whose period divides 2L but
             # not L, such as a 2-cycle at an odd L.
             L = math.lcm(*c.cadence.tolist())
-            check, refs = L, ()
+            check, refs, P, stepped = L, (), 0, k1 - k0
             for i, due in enumerate(due_mask(c, since, k0, k1)):
                 if i == check:
                     # raw bytes, so that -0.0, nan and inf match exactly
@@ -402,6 +400,7 @@ def run_scenario(scenario) -> Trajectory:
                         rec[i:] = rec[i - P + np.arange(k1 - k0 - i) % P]
                         last = i - P + (k1 - k0 - i) % P
                         s, v = rec[last, 0].copy(), rec[last, 1].copy()
+                        stepped = i
                         break
                     check, refs = i + L, (key, *refs[:1])
                 r = kernel_step(c, s, v, due, cold)
@@ -416,4 +415,5 @@ def run_scenario(scenario) -> Trajectory:
             keep = recorded[k0:k1]
             blocks.append(((np.flatnonzero(keep) + k0) * period, ids,
                            rec[keep]))
-    return Trajectory.from_records(blocks)
+            epochs.append(Epoch(k0, k1, ids, P, stepped))
+    return replace(Trajectory.from_records(blocks), epochs=epochs)

@@ -11,15 +11,17 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import fairband.adaptation as adaptation
 import fairband.simkernel as simkernel
-from fairband import (ConfigurationError, InvariantViolation,
-                      MembershipEvent, compile_apps, kernel_step,
+from fairband import (ApplicationSpec, ConfigurationError,
+                      InvariantViolation, JobModel, MembershipEvent,
+                      PlatformSpec, Scenario, compile_apps, kernel_step,
                       parse_scenario, parse_scenario_text, run_scenario)
 from fairband.cli import run_bundle, write_trajectory_csv
 from fairband.core import SUM_TOL
-from fairband.simkernel import QUIET, VALUES, due_mask
+from fairband.simkernel import QUIET, VALUES, due_mask, gather
 
 COLUMNS = ("time",) + VALUES
 
@@ -84,6 +86,49 @@ def _tail_event(leave=3003, step=None):
         MembershipEvent((leave + 1) * s.rm_period, "join", spec=late)))
 
 
+def _churn_app(i, kind, cadence):
+    """App c<i> of the churn scenario; its parameters are spread by i."""
+    x = (i * 7 % 11) / 10.0
+    if kind == "synthetic":
+        model = JobModel(kind=kind, a=10.0 + 40.0 * x, b=100.0 + 400.0 * x,
+                         deadline=5000.0 - 4500.0 * x)
+    elif kind == "multimedia":
+        model = JobModel(kind=kind, alpha=10.0 + 40.0 * x,
+                         deadline=100.0 + 400.0 * x)
+    else:
+        model = JobModel(kind=kind, alpha=100.0 + 900.0 * x,
+                         beta=4.0 + 36.0 * x)
+    return ApplicationSpec(
+        id=f"c{i}", weight=1.0 - 0.9 * x,
+        min_service=0.0 if kind == "synthetic" else 0.5,
+        initial_service=1.0 + 2.0 * x, update_jobs=cadence, model=model)
+
+
+def _churn(mode):
+    """A small churn run over 100 instants: 8 live apps of the three job
+    kinds at cadences 1/2/5/10; the oldest app leaves every 7 instants and
+    a new one joins the next. Both control apps have left by instant 14, so
+    no deadline depends on s until a control app joins at 22. Every app
+    leaves at 90, so 90 is an empty epoch, and two join at 91."""
+    cadences = (1, 2, 5, 10)
+    kinds = ("control", "control") + ("synthetic", "multimedia") * 3
+    apps = [_churn_app(i, kind, cadences[i % 4])
+            for i, kind in enumerate(kinds)]
+    live, events = [a.id for a in apps], []
+    for m, k in enumerate(range(7, 90, 7)):
+        events.append(MembershipEvent(float(k), "leave", app_id=live.pop(0)))
+        spec = _churn_app(8 + m, ("synthetic", "multimedia", "control")[m % 3],
+                          cadences[m % 4])
+        events.append(MembershipEvent(k + 1.0, "join", spec=spec))
+        live.append(spec.id)
+    events += [MembershipEvent(90.0, "leave", app_id=a) for a in live]
+    events += [MembershipEvent(91.0, "join", spec=_churn_app(i, kind, c))
+               for i, kind, c in ((30, "control", 2), (31, "synthetic", 5))]
+    return Scenario(platform=PlatformSpec(step=0.05), apps=tuple(apps),
+                    rm_period=1.0, horizon=99.0, mode=mode,
+                    events=tuple(events), name="churn")
+
+
 PINNED = {
     "sync5": (lambda: _short("sync5"),
         "d68892aa7e5d9ae4d60903d9f3534ba21918ba3e0a8685021f9d5199086b020a"),
@@ -118,6 +163,11 @@ PINNED = {
         "1c8021dbda238f069315c94857f182b55aa7e662d39c613e233832d11f7b83df"),
     "sync5-2-cores": (lambda: _cores(_short("sync5"), 2),
         "921aaad59c4d5ca361935908c58ed4305946d2b26f82875cc67a45bb733d78ec"),
+    # recorded before the run compiled its apps into one table
+    "churn-compensated": (lambda: _churn("async_compensated"),
+        "38ef88fabefd0f5a5b21cce3ebbdb05b0bac93d7fbf6cee5936f11a196d8a36e"),
+    "churn-uncompensated": (lambda: _churn("async_uncompensated"),
+        "9c450dab0a544d2841671434b4403e7dc8505715235f2ade90470c2a8e975893"),
 }
 
 
@@ -232,6 +282,7 @@ def test_engine_matches_euler_oracle_on_every_job_kind(cores):
     s = _cores(_mixed(events=(), sample_stride=1, mode="sync"), cores)
     engine = run_scenario(s)
     oracle = run_scenario(dataclasses.replace(s, mode="ode_reference"))
+    assert oracle.epochs is None
     assert np.array_equal(engine.app, oracle.app)
     for name in COLUMNS:
         assert np.array_equal(getattr(engine, name).view(np.int64),
@@ -266,6 +317,70 @@ def test_compiled_identities_match_the_general_form():
             assert a.shape == b.shape and a.dtype == b.dtype, name
             assert np.array_equal(np.asarray(a).view(np.uint8),
                                   np.asarray(b).view(np.uint8)), name
+
+
+@st.composite
+def _table_and_live(draw):
+    """(specs, mode, live): up to 6 apps of random job kinds, cadences and
+    ceilings, and an ordered subset of their indices, possibly empty."""
+    specs = []
+    for i in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(("synthetic", "multimedia", "control")))
+        x = draw(st.floats(0.1, 10.0))
+        specs.append(ApplicationSpec(
+            id=f"t{i}", weight=draw(st.floats(0.01, 1.0)), min_service=1.0,
+            initial_service=1.0, update_jobs=draw(st.integers(1, 10)),
+            max_service=draw(st.none() | st.floats(1.0, 5.0)),
+            model=JobModel(kind=kind, alpha=x, a=x, b=2.0 * x,
+                           deadline=100.0 * x,
+                           beta=x if kind == "control" else None)))
+    live = draw(st.lists(st.integers(0, max(len(specs) - 1, 0)), unique=True,
+                         max_size=len(specs)))
+    return specs, draw(st.sampled_from(simkernel.MODES)), live
+
+
+@settings(max_examples=60, deadline=None)
+@given(_table_and_live())
+def test_gathered_rows_equal_the_compiled_subset(case):
+    specs, mode, live = case
+    platform = PlatformSpec(cores=2, step=0.1)
+    got = gather(compile_apps(specs, platform, mode),
+                 np.array(live, dtype=np.intp))
+    want = compile_apps([specs[i] for i in live], platform, mode)
+    # the identities, stated without compile_apps
+    assert (got.job[3] is None) == all(specs[i].model.kind != "control"
+                                       for i in live)
+    assert (got.gain is None) == (mode != "async_compensated" or all(
+        specs[i].update_jobs == 1 for i in live))
+    for name in ("lam", "lo", "hi", "cadence", "gain", "eps", "kappa",
+                 "upper"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a is None) == (b is None), name
+        if a is not None:
+            a, b = np.asarray(a), np.asarray(b)
+            assert (a.dtype, a.shape, a.tobytes()) \
+                == (b.dtype, b.shape, b.tobytes()), name
+    for j, (a, b) in enumerate(zip(got.job, want.job)):
+        assert (a is None) == (b is None), j
+        if a is not None:
+            assert (a.dtype, a.shape, a.tobytes()) \
+                == (b.dtype, b.shape, b.tobytes()), j
+
+
+@pytest.mark.parametrize("name", ["mixed", "tail-event"])
+def test_epoch_record_counts_steps_and_names_apps(name, monkeypatch):
+    s = PINNED[name][0]()
+    calls = _count_steps(monkeypatch)
+    epochs = run_scenario(s).epochs
+    assert sum(e.steps for e in epochs) == calls[0]
+    assert [e.k0 for e in epochs] == [0] + [e.k1 for e in epochs[:-1]]
+    assert epochs[-1].k1 == s.steps
+    traj = run_scenario(dataclasses.replace(s, sample_stride=1))
+    assert traj.epochs == epochs
+    assert np.array_equal(traj.app, np.concatenate(
+        [np.tile(np.array(e.ids, dtype=object), e.k1 - e.k0)
+         for e in epochs]))
+    assert "epochs" not in repr(traj)
 
 
 def test_batched_rows_match_single_runs():

@@ -507,10 +507,18 @@ apps:
                           "kind": "multimedia", "alpha": 1.0,
                           "deadline": 1.0}}},
              "events[1].app.id"))
+    ] + [
+        # six instants; the leave of an unknown app and the join of a live
+        # id both fall after the last one, and are refused all the same
+        (lambda d: d.update(events=[
+            {"time": 10.0 * MS, "action": "leave", "app": "nobody"},
+            {"time": 20.0 * MS, "action": "join", "app": d["apps"][0]}]),
+         "events[0].app: leave event for unknown app 'nobody'")
     ], ids=["platform-list", "event-int", "events-int", "horizon",
             "rm_period", "step", "event-time", "update_jobs-2**63",
             "event-time-nan", "event-time-inf", "event-time--inf",
-            "event-misaligned", "leave-unknown", "join-live"])
+            "event-misaligned", "leave-unknown", "join-live",
+            "past-horizon"])
     def test_run_bad_field_exits_2_naming_it(self, tmp_path, capsys, edit,
                                              field):
         doc = _sync5_doc(horizon=5.0 * MS)

@@ -5,8 +5,7 @@ import pytest
 
 from fairband import (AdmissionError, ApplicationSpec, ConfigurationError,
                       JobModel, MembershipEvent, PlatformSpec, Scenario,
-                      apply_membership_event, compile_apps, make_state,
-                      measure_job, run_scenario)
+                      compile_apps, measure_job, run_scenario)
 
 
 def _app(i, weight=0.5, floor=1.0, s0=None, v0=0.2, cadence=1, model=None):
@@ -140,29 +139,32 @@ class TestRunScenario:
 
 
 class TestMembership:
+    # an event at time 0 applies before the first instant, so row 0 shows
+    # the state it leaves
     def test_leave_returns_bandwidth(self):
-        specs = [_app(0, v0=0.3), _app(1, v0=0.3)]
-        state = make_state([1.0, 1.0], [0.3, 0.3])
-        ev = MembershipEvent(5.0, "leave", app_id="a0")
-        new_state, new_specs = apply_membership_event(state, ev, PlatformSpec(), specs)
-        assert [a.id for a in new_specs] == ["a1"]
-        assert new_state.unused == pytest.approx(0.7, abs=1e-15)
+        apps = [_app(0, v0=0.3), _app(1, v0=0.3)]
+        events = (MembershipEvent(0.0, "leave", app_id="a0"),)
+        traj = run_scenario(_scenario(apps, steps=5, events=events))
+        first = traj.time == 0.0
+        assert list(traj.app[first]) == ["a1"]
+        assert 1.0 - traj.bandwidth[first].sum() == pytest.approx(0.7,
+                                                                  abs=1e-15)
 
     def test_join_seed_is_step_capped_by_pool(self):
-        specs = [_app(0, v0=0.5)]
-        state = make_state([1.0], [0.5])
-        ev = MembershipEvent(5.0, "join", spec=_app(1, v0=None))
-        new_state, new_specs = apply_membership_event(
-            state, ev, PlatformSpec(step=0.03), specs)
-        assert new_state.bandwidths[-1] == 0.03
-        assert new_state.unused == pytest.approx(0.47, abs=1e-15)
+        apps = [_app(0, v0=0.5)]
+        events = (MembershipEvent(0.0, "join", spec=_app(1, v0=None)),)
+        traj = run_scenario(_scenario(apps, eps=0.03, steps=5, events=events))
+        first = traj.time == 0.0
+        assert list(traj.app[first]) == ["a0", "a1"]
+        assert traj.bandwidth[first][-1] == 0.03
+        assert 1.0 - traj.bandwidth[first].sum() == pytest.approx(0.47,
+                                                                  abs=1e-15)
 
     def test_join_without_pool_rejected(self):
-        specs = [_app(0, v0=1.0)]
-        state = make_state([1.0], [1.0])
-        ev = MembershipEvent(5.0, "join", spec=_app(1, v0=None))
+        apps = [_app(0, v0=1.0)]
+        events = (MembershipEvent(0.0, "join", spec=_app(1, v0=None)),)
         with pytest.raises(AdmissionError):
-            apply_membership_event(state, ev, PlatformSpec(step=0.03), specs)
+            run_scenario(_scenario(apps, eps=0.03, steps=5, events=events))
 
     def test_events_inside_run(self):
         apps = [_app(0, 0.9, v0=0.3), _app(1, 0.5, v0=0.3)]
