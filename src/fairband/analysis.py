@@ -27,21 +27,31 @@ def interpolate(trajectory: Trajectory, field: str) -> Paths:
 
 def sup_deviation_per_app(paths_a: Paths, paths_b: Paths,
                           horizon: float) -> Dict[str, float]:
-    """Exact sup over [0, horizon] of |a(t) - b(t)| per app.
-
-    Both paths are piecewise constant, so the sup is attained on the merged
-    breakpoint grid.
-    """
+    """Exact sup over [0, horizon] of |a(t) - b(t)| per app: the largest gap
+    at a breakpoint of either path, both piecewise constant on strictly
+    increasing breakpoints; one difference over all rows when every app has
+    the same breakpoints in both."""
     if set(paths_a) != set(paths_b):
         raise ConfigurationError("paths cover different app sets")
+    end = horizon + SUM_TOL
+    pairs = [(paths_a[aid], paths_b[aid]) for aid in paths_a]
+    sizes = [len(ta) for (ta, _), _ in pairs]
+    if 0 not in sizes and sizes == [len(tb) for _, (tb, _) in pairs]:
+        ta, va, tb, vb = (np.concatenate([p[side][k] for p in pairs])
+                          for side in (0, 1) for k in (0, 1))
+        if np.array_equal(ta, tb):
+            gap = np.abs(va - vb)
+            gap[ta > end] = 0.0
+            heads = np.cumsum([0] + sizes[:-1])
+            return dict(zip(paths_a, np.maximum.reduceat(gap, heads).tolist()))
     out = {}
-    for aid, (ta, va) in paths_a.items():
-        tb, vb = paths_b[aid]
-        grid = np.union1d(ta, tb)
-        grid = grid[grid <= horizon + SUM_TOL]
-        ia = np.maximum(np.searchsorted(ta, grid, side="right") - 1, 0)
-        ib = np.maximum(np.searchsorted(tb, grid, side="right") - 1, 0)
-        out[aid] = float(np.max(np.abs(va[ia] - vb[ib]))) if grid.size else 0.0
+    for aid, ((ta, va), (tb, vb)) in zip(paths_a, pairs):
+        ta, tb = (t[:np.searchsorted(t, end, side="right")] for t in (ta, tb))
+        ia = np.maximum(np.searchsorted(ta, tb, side="right") - 1, 0)
+        ib = np.maximum(np.searchsorted(tb, ta, side="right") - 1, 0)
+        gap = np.abs(np.concatenate((va[:len(ta)] - vb[ib],
+                                     va[ia] - vb[:len(tb)])))
+        out[aid] = float(gap.max()) if gap.size else 0.0
     return out
 
 

@@ -149,16 +149,20 @@ def run_bundle(scenario: scen.Scenario, out_dir: Path) -> Dict:
     out_dir.mkdir(parents=True, exist_ok=True)
     write_trajectory_csv(traj, out_dir / "trajectory.csv")
     with open(out_dir / "summary.json", "w", encoding="utf-8") as fh:
-        json.dump(_jsonable(summary), fh, indent=2)
-        fh.write("\n")
+        fh.write(json.dumps(_jsonable(summary), indent=2) + "\n")
     return summary
 
 
 def compare_bundles(dir_a: Path, dir_b: Path) -> Dict:
     """Per-app sup deviation between two run directories, checked against the
     asynchronous-equivalence bound of the first bundle."""
-    ta = read_trajectory_csv(dir_a / "trajectory.csv")
-    tb = read_trajectory_csv(dir_b / "trajectory.csv")
+    paths = (dir_a / "trajectory.csv", dir_b / "trajectory.csv")
+    ta, tb = (read_trajectory_csv(path) for path in paths)
+    for path, traj in zip(paths, (ta, tb)):
+        # the sup below reads each app's rows in time order
+        if not traj.rises_per_app():
+            raise ConfigurationError(
+                f"{path}: an app's times are not strictly increasing")
     summary_path = dir_a / "summary.json"
     with open(summary_path, "r", encoding="utf-8") as fh:
         try:
@@ -168,7 +172,7 @@ def compare_bundles(dir_a: Path, dir_b: Path) -> Dict:
         except (ValueError, KeyError, TypeError) as exc:
             raise ConfigurationError(
                 f"{summary_path}: unreadable run summary: {exc!r}") from exc
-    horizon = float(min(ta.time[-1], tb.time[-1]))
+    horizon = float(min(ta.time.max(), tb.time.max()))
     report: Dict = {"horizon": horizon, "fields": {}}
     lo, hi = reference.equivalence_bound(step, ell, n_bar)
     bound = lo + hi

@@ -282,14 +282,25 @@ class Trajectory:
     @classmethod
     def from_records(cls, blocks) -> "Trajectory":
         """Join recorded epochs. Each block is (instant times, app ids, an
-        (instants, len(VALUES), apps) array of the VALUES columns)."""
-        return cls(
-            time=np.concatenate([np.repeat(t, len(ids))
-                                 for t, ids, _ in blocks]),
-            app=np.concatenate([np.tile(np.array(ids, dtype=object), len(t))
-                                for t, ids, _ in blocks]),
-            **{name: np.concatenate([rec[:, j].ravel() for *_, rec in blocks])
-               for j, name in enumerate(VALUES)})
+        (instants, len(VALUES), apps) array of the VALUES columns), written
+        into the joined columns through (instants, apps) views."""
+        ends = np.cumsum([0] + [len(t) * len(ids) for t, ids, _ in blocks])
+        time, app = np.empty(ends[-1]), np.empty(ends[-1], dtype=object)
+        values = np.empty((len(VALUES), ends[-1]))
+        for (t, ids, rec), lo, hi in zip(blocks, ends, ends[1:]):
+            shape = (len(t), len(ids))
+            time[lo:hi].reshape(shape)[:] = t[:, None]
+            app[lo:hi].reshape(shape)[:] = np.array(ids, dtype=object)
+            values[:, lo:hi].reshape(len(VALUES), *shape)[:] = rec.swapaxes(0, 1)
+        return cls(time=time, app=app, **dict(zip(VALUES, values)))
+
+    def rises_per_app(self) -> bool:
+        """Whether each app's rows have strictly increasing times."""
+        _, order, ends = self._groups
+        t = self.time[order]
+        rising = t[1:] > t[:-1]
+        rising[ends[:-1] - 1] = True    # one app's last row, the next's first
+        return bool(rising.all()) and not np.isnan(t).any()
 
     def per_app(self, fieldname: str) -> Dict[str, Tuple[np.ndarray, np.ndarray]]:
         """Split a column into per-app (times, values) pairs in row order; an

@@ -1,10 +1,14 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from fairband import (ApplicationSpec, ConfigurationError, JobModel,
                       PlatformSpec, Scenario, convergence_report,
                       interpolate, run_scenario, solve_stationary_point,
                       sup_deviation_per_app, sweep_invariants)
+from fairband.core import SUM_TOL
 from fairband.simkernel import Trajectory
 
 
@@ -95,6 +99,11 @@ class TestSupDeviation:
         assert sup_deviation(a, b, 3.0) == 3.0
         assert sup_deviation(a, b, 1.5) == 1.0
 
+    def test_app_without_breakpoints_is_zero(self):
+        a = {**_path([], [], "x"), **_path([0.0, 1.0], [1.0, 2.0], "y")}
+        b = {**_path([], [], "x"), **_path([0.0, 1.0], [1.5, 2.0], "y")}
+        assert sup_deviation_per_app(a, b, 1.0) == {"x": 0.0, "y": 0.5}
+
     def test_mismatched_apps_rejected(self):
         with pytest.raises(ConfigurationError):
             sup_deviation(_path([0], [1], "a"), _path([0], [1], "b"), 1.0)
@@ -111,6 +120,75 @@ class TestSupDeviation:
             dcb = sup_deviation(c, b, 9.0)
             assert dab == dba
             assert dab <= dac + dcb + 1e-12
+
+
+def union_grid_sup(paths_a, paths_b, horizon):
+    """The definition sup_deviation_per_app is checked against: both paths
+    read on their merged breakpoint grid up to the horizon."""
+    out = {}
+    for aid, (ta, va) in paths_a.items():
+        tb, vb = paths_b[aid]
+        grid = np.union1d(ta, tb)
+        grid = grid[grid <= horizon + SUM_TOL]
+        ia = np.maximum(np.searchsorted(ta, grid, side="right") - 1, 0)
+        ib = np.maximum(np.searchsorted(tb, grid, side="right") - 1, 0)
+        out[aid] = float(np.max(np.abs(va[ia] - vb[ib]))) if grid.size else 0.0
+    return out
+
+
+VALUES = st.one_of(st.sampled_from([0.0, -0.0, math.inf, -math.inf,
+                                    math.nan]),
+                   st.floats(-10.0, 10.0))
+# whole times and half-unit horizons: a horizon falls before the first
+# breakpoint, on one, between two or past the last
+TIMES = st.lists(st.integers(0, 20), min_size=1, max_size=6, unique=True)
+
+
+@st.composite
+def path_pairs(draw):
+    """Paths of 1-8 apps for two runs. The runs share every app's
+    breakpoints, cut one sorted grid into apps two ways (equal totals,
+    unequal per-app lengths), or draw their breakpoints apart. Run b lists
+    its apps in another order."""
+    n = draw(st.integers(1, 8))
+    layout = draw(st.sampled_from(["shared", "recut", "apart"]))
+    if layout == "recut":
+        grid = sorted(draw(st.lists(st.integers(0, 40), min_size=n,
+                                    max_size=n + 8, unique=True)))
+        cuts = st.lists(st.integers(1, max(len(grid) - 1, 1)), min_size=n - 1,
+                        max_size=n - 1, unique=True).map(sorted)
+        times = [np.split(grid, draw(cuts)) for _ in "ab"]
+    else:
+        times = [[sorted(draw(TIMES)) for _ in range(n)]]
+        times.append(times[0] if layout == "shared"
+                     else [sorted(draw(TIMES)) for _ in range(n)])
+    ids = [f"a{i}" for i in range(n)]
+    paths = [{aid: (np.array(t, float),
+                    np.array(draw(st.lists(VALUES, min_size=len(t),
+                                           max_size=len(t)))))
+              for aid, t in zip(ids, side)} for side in times]
+    order = draw(st.permutations(ids))
+    return paths[0], {aid: paths[1][aid] for aid in order}
+
+
+def _bits(per_app):
+    return np.array(list(per_app.values())).view(np.int64)
+
+
+@settings(max_examples=80, deadline=None)
+@given(path_pairs(), st.integers(-4, 84).map(lambda k: k / 2.0))
+@example(({"x": (np.array([0.0, 1.0]), np.array([1.0, 2.0])),
+           "y": (np.array([2.0]), np.array([3.0]))},
+          {"x": (np.array([0.0]), np.array([1.5])),
+           "y": (np.array([1.0, 2.0]), np.array([0.0, 4.0]))}), 2.0)
+@example(({"x": (np.array([3.0]), np.array([-0.0]))},
+          {"x": (np.array([3.0]), np.array([math.nan]))}), 2.5)
+def test_sup_matches_the_union_grid_bit_for_bit(pair, horizon):
+    with np.errstate(invalid="ignore"):         # inf - inf, inf - nan
+        got = sup_deviation_per_app(*pair, horizon)
+        want = union_grid_sup(*pair, horizon)
+    assert list(got) == list(want) == list(pair[0])
+    assert np.array_equal(_bits(got), _bits(want))
 
 
 class TestSweepInvariants:

@@ -19,7 +19,7 @@ from fairband import (ApplicationSpec, ConfigurationError,
                       InvariantViolation, JobModel, MembershipEvent,
                       PlatformSpec, Scenario, compile_apps, kernel_step,
                       parse_scenario, parse_scenario_text, run_scenario)
-from fairband.cli import run_bundle, write_trajectory_csv
+from fairband.cli import EXIT_OK, main, run_bundle, write_trajectory_csv
 from fairband.core import SUM_TOL
 from fairband.simkernel import QUIET, VALUES, due_mask, gather
 
@@ -194,6 +194,36 @@ def test_summary_digest_pinned(name, tmp_path):
     run_bundle(PINNED[name][0](), tmp_path)
     assert hashlib.sha256((tmp_path / "summary.json").read_bytes()) \
         .hexdigest() == SUMMARY_PINNED[name]
+
+
+# compare.json of two run bundles: churn's two async modes share every
+# breakpoint, and so do sync and the Euler oracle; two async3 runs that
+# stop at different instants do not
+COMPARE_PINNED = {
+    "churn": (
+        (lambda: _churn("async_compensated"),
+         lambda: _churn("async_uncompensated")),
+        "91d50767db15cc6d4355b64d4b48a1a55f4e007de13b6f9be40224c4b97515fd"),
+    "sync5-ode-reference": (
+        (lambda: _short("sync5"),
+         lambda: _short("sync5", mode="ode_reference")),
+        "a5aeca42ce4c69ede1c68daace0fcba0a209a25c2e13537e29343039e2cf28ae"),
+    "async3-horizons": (
+        (lambda: _short("async3"),
+         lambda: _short("async3", instants=250, mode="async_uncompensated")),
+        "1088f8e5d7eca7bc7c4384a1cb2175fd9b2b894e8c97b880385d5bbe445716e2"),
+}
+
+
+@pytest.mark.parametrize("name", COMPARE_PINNED)
+def test_compare_digest_pinned(name, tmp_path, capsys):
+    builds, digest = COMPARE_PINNED[name]
+    dirs = [tmp_path / d for d in "ab"]
+    for build, d in zip(builds, dirs):
+        run_bundle(build(), d)
+    out = tmp_path / "compare.json"
+    assert main(["compare", *map(str, dirs), "--out", str(out)]) == EXIT_OK
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 def _count_steps(monkeypatch):

@@ -430,6 +430,52 @@ apps:
         assert main(["compare", str(a), str(b)]) == EXIT_VALIDATION
         assert str(bad) in capsys.readouterr().err
 
+    @pytest.mark.parametrize("edit", [
+        lambda rows: rows[::-1],
+        lambda rows: rows[:8] + rows[7:],
+        lambda rows: rows[:8] + ["nan," + rows[8].split(",", 1)[1]] + rows[9:],
+    ], ids=["reversed", "duplicated-row", "nan-time"])
+    def test_compare_rows_out_of_time_order_exit_2(self, tmp_path, capsys,
+                                                   edit):
+        # both files hold the same run, whose true sup is 0; read out of
+        # order, the paths would differ by up to 0.6 in service
+        a, b = tmp_path / "a", tmp_path / "b"
+        for d in (a, b):
+            assert main(["run", "sync5", "--horizon", "20000",
+                         "--out", str(d)]) == EXIT_OK
+        bad = b / "trajectory.csv"
+        header, *rows = bad.read_text().splitlines()
+        bad.write_text("\n".join([header, *edit(rows)]) + "\n")
+        capsys.readouterr()
+        assert main(["compare", str(a), str(b)]) == EXIT_VALIDATION
+        assert str(bad) in capsys.readouterr().err
+
+    def test_compare_reads_rows_grouped_by_app(self, tmp_path, capsys):
+        # each app's rows still rise when the file lists them app by app;
+        # the last block is then an app that left at 20, not the run's end
+        cfg = tmp_path / "mixed.yaml"
+        cfg.write_text(MIXED)
+        a, b, c = (tmp_path / d for d in "abc")
+        assert main(["run", str(cfg), "--out", str(a)]) == EXIT_OK
+        assert main(["run", str(cfg), "--mode", "async_uncompensated",
+                     "--out", str(b)]) == EXIT_OK
+        c.mkdir()
+        header, *rows = (b / "trajectory.csv").read_text().splitlines()
+
+        def block(row):                 # by app, med's rows last
+            aid = row.split(",")[1]
+            return aid == "med", aid
+
+        rows.sort(key=block)            # stable: each app's rows stay in order
+        (c / "trajectory.csv").write_text("\n".join([header, *rows]) + "\n")
+        capsys.readouterr()
+        reports = []
+        for other in (b, c):
+            assert main(["compare", str(a), str(other)]) == EXIT_OK
+            reports.append(json.loads(capsys.readouterr().out))
+        assert reports[0] == reports[1]
+        assert reports[0]["horizon"] == 60.0
+
     @pytest.mark.parametrize("body", ["{", "{}", "[]"])
     def test_compare_unreadable_summary_exits_2(self, tmp_path, capsys, body):
         a = tmp_path / "a"
