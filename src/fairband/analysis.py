@@ -30,7 +30,8 @@ def sup_deviation_per_app(paths_a: Paths, paths_b: Paths,
     """Exact sup over [0, horizon] of |a(t) - b(t)| per app: the largest gap
     at a breakpoint of either path, both piecewise constant on strictly
     increasing breakpoints; one difference over all rows when every app has
-    the same breakpoints in both."""
+    the same breakpoints in both. Equal values differ by 0, two equal
+    infinities too."""
     if set(paths_a) != set(paths_b):
         raise ConfigurationError("paths cover different app sets")
     end = horizon + SUM_TOL
@@ -40,7 +41,8 @@ def sup_deviation_per_app(paths_a: Paths, paths_b: Paths,
         ta, va, tb, vb = (np.concatenate([p[side][k] for p in pairs])
                           for side in (0, 1) for k in (0, 1))
         if np.array_equal(ta, tb):
-            gap = np.abs(va - vb)
+            gap = np.abs(np.subtract(va, vb, out=np.zeros_like(va),
+                                     where=va != vb))
             gap[ta > end] = 0.0
             heads = np.cumsum([0] + sizes[:-1])
             return dict(zip(paths_a, np.maximum.reduceat(gap, heads).tolist()))
@@ -49,8 +51,9 @@ def sup_deviation_per_app(paths_a: Paths, paths_b: Paths,
         ta, tb = (t[:np.searchsorted(t, end, side="right")] for t in (ta, tb))
         ia = np.maximum(np.searchsorted(ta, tb, side="right") - 1, 0)
         ib = np.maximum(np.searchsorted(tb, ta, side="right") - 1, 0)
-        gap = np.abs(np.concatenate((va[:len(ta)] - vb[ib],
-                                     va[ia] - vb[:len(tb)])))
+        a = np.concatenate((va[:len(ta)], va[ia]))
+        b = np.concatenate((vb[ib], vb[:len(tb)]))
+        gap = np.abs(np.subtract(a, b, out=np.zeros_like(a), where=a != b))
         out[aid] = float(gap.max()) if gap.size else 0.0
     return out
 

@@ -194,54 +194,43 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="fairband",
         description="Distributed CPU-bandwidth allocation simulator")
     sub = p.add_subparsers(dest="verb", required=True)
-
-    def add_scenario_opts(sp):
+    rp = sub.add_parser("run", help="run a scenario and write artifacts")
+    cp = sub.add_parser("compare", help="compare two run directories")
+    bp = sub.add_parser("bounds", help="print theoretical constants")
+    vp = sub.add_parser("solve", help="print the stationary allocation")
+    # each verb takes only the flags it reads; --zeta reads the step
+    for sp in (rp, bp, vp):
         sp.add_argument("scenario",
                         help="preset name (sync5, async3) or config file path")
-        sp.add_argument("--mode", choices=scen.ALL_MODES,
-                        help="override the scenario's engine mode")
-        sp.add_argument("--horizon", type=float,
-                        help="override the horizon (time-units)")
+    rp.add_argument("--mode", choices=scen.ALL_MODES,
+                    help="override the scenario's engine mode")
+    rp.add_argument("--horizon", type=float,
+                    help="override the horizon (time-units)")
+    for sp in (rp, bp):
         sp.add_argument("--step", type=float, help="override the step size")
-        sp.add_argument("--strict", action="store_true",
-                        help="enforce the step-size starvation guard and fail "
-                             "on any invariant report violation")
-
-    rp = sub.add_parser("run", help="run a scenario and write artifacts")
-    add_scenario_opts(rp)
+    rp.add_argument("--strict", action="store_true",
+                    help="enforce the step-size starvation guard and fail "
+                         "on any invariant report violation")
     rp.add_argument("--out", default="fairband-out",
                     help="output directory (default fairband-out)")
-
-    cp = sub.add_parser("compare", help="compare two run directories")
     cp.add_argument("dir_a")
     cp.add_argument("dir_b")
     cp.add_argument("--out", help="write the deviation report JSON here")
-
-    bp = sub.add_parser("bounds", help="print theoretical constants")
-    add_scenario_opts(bp)
     bp.add_argument("--zeta", type=float,
                     help="also print the balance thresholds at this zeta")
-
-    vp = sub.add_parser("solve", help="print the stationary allocation")
-    add_scenario_opts(vp)
     return p
 
 
 def _load(args) -> scen.Scenario:
+    """The scenario with the overrides the verb's flags give, if any."""
     s = scen.parse_scenario(args.scenario)
-    changes = {}
-    if getattr(args, "mode", None):
-        changes["mode"] = args.mode
-    if getattr(args, "horizon", None) is not None:
-        changes["horizon"] = args.horizon
-    if getattr(args, "strict", False):
-        changes["strict_bounds"] = True
-    if changes:
-        s = dataclasses.replace(s, **changes)
+    changes = {"mode": getattr(args, "mode", None),
+               "horizon": getattr(args, "horizon", None),
+               "strict_bounds": getattr(args, "strict", False) or None}
     if getattr(args, "step", None) is not None:
-        s = dataclasses.replace(
-            s, platform=dataclasses.replace(s.platform, step=args.step))
-    return s
+        changes["platform"] = dataclasses.replace(s.platform, step=args.step)
+    changes = {k: x for k, x in changes.items() if x is not None}
+    return dataclasses.replace(s, **changes) if changes else s
 
 
 def main(argv: Optional[List[str]] = None) -> int:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Set, Tuple
+from typing import Sequence, Set, Tuple
 
 import numpy as np
 
@@ -82,6 +82,10 @@ def asymptotic_fair_share(weights: Sequence[float], cores: int = 1) -> np.ndarra
     return np.minimum(1.0 / cores, lam / lam.sum())
 
 
+# solve_stationary_point's sup-norm stopping tolerance and iteration budget
+SOLVE_TOL, SOLVE_MAX_ITERS = 1e-12, 100000
+
+
 @dataclass(frozen=True)
 class StationaryPoint:
     services: np.ndarray
@@ -91,9 +95,7 @@ class StationaryPoint:
 
 
 def solve_stationary_point(specs: Sequence[ApplicationSpec],
-                           platform: PlatformSpec,
-                           tol: float = 1e-12,
-                           max_iters: int = 100000) -> StationaryPoint:
+                           platform: PlatformSpec) -> StationaryPoint:
     """Find a stationary allocation at the service floor.
 
     Under high demand (beta / min_service < 1 for every app, so every
@@ -133,10 +135,10 @@ def solve_stationary_point(specs: Sequence[ApplicationSpec],
     v = np.minimum(cap, lam / lam.sum())
     damping = 1.0
     prev_delta = math.inf
-    for _ in range(max_iters):
+    for _ in range(SOLVE_MAX_ITERS):
         nxt = mapping(v)
         delta = float(np.max(np.abs(nxt - v)))
-        if delta <= tol:
+        if delta <= SOLVE_TOL:
             v = nxt
             break
         # oscillation: successive substitution bouncing, halve the step
@@ -146,8 +148,8 @@ def solve_stationary_point(specs: Sequence[ApplicationSpec],
         prev_delta = delta
     else:
         raise ConvergenceError(
-            f"stationary-point iteration did not reach tol {tol} "
-            f"within {max_iters} iterations")
+            f"stationary-point iteration did not reach tol {SOLVE_TOL} "
+            f"within {SOLVE_MAX_ITERS} iterations")
     capped = set(int(i) for i in np.flatnonzero(v >= cap - SUM_TOL))
     return StationaryPoint(floor.copy(), v, residuals(v), capped)
 
@@ -199,7 +201,7 @@ def equivalence_bound(step: float, ell: float,
 
 def integrate_ode(initial: SystemState, specs: Sequence[ApplicationSpec],
                   platform: PlatformSpec, tau_step: float, horizon: float,
-                  rm_period: Optional[float] = None) -> Trajectory:
+                  rm_period: float) -> Trajectory:
     """Projected explicit Euler on the coupled field (service rate, fairness).
 
     The field is evaluated through the job model, so with tau_step equal to
@@ -210,8 +212,7 @@ def integrate_ode(initial: SystemState, specs: Sequence[ApplicationSpec],
     """
     if not (tau_step > 0.0):
         raise ConfigurationError("tau_step must be positive")
-    period = rm_period if rm_period is not None else 1.0
-    steps = instants(horizon, period)
+    steps = instants(horizon, rm_period)
     check_budget(steps, len(specs))
     c = compile_apps(specs, platform, "sync")
     c1, c0, d0, d1 = c.job
@@ -239,4 +240,4 @@ def integrate_ode(initial: SystemState, specs: Sequence[ApplicationSpec],
             v = project_bandwidth(v + tau_step * Phi, c.upper)[0]
             s = project_service(c, s + tau_step * phi)
     return Trajectory.from_records(
-        [(np.arange(steps) * period, [a.id for a in specs], rec)])
+        [(np.arange(steps) * rm_period, [a.id for a in specs], rec)])

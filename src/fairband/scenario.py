@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 import yaml
@@ -19,7 +19,7 @@ import yaml
 from .core import (ApplicationSpec, JobModel, PlatformSpec, SystemState,
                    make_state)
 from .errors import ConfigurationError
-from .simkernel import MODES, MembershipEvent, instants
+from .simkernel import MODES, instants
 
 MS = 1000.0  # time-units per millisecond
 
@@ -56,6 +56,15 @@ ALL_MODES = MODES + ("ode_reference",)
 
 
 @dataclass(frozen=True)
+class MembershipEvent:
+    """A join (with a spec) or leave (by id); the Scenario checks it."""
+    time: float
+    action: str                       # "join" or "leave"
+    spec: Optional[ApplicationSpec] = None
+    app_id: Optional[str] = None
+
+
+@dataclass(frozen=True)
 class Scenario:
     """Everything one run needs: platform, apps, clocks, mode, events."""
     platform: PlatformSpec
@@ -67,6 +76,12 @@ class Scenario:
     strict_bounds: bool = False
     sample_stride: int = 1
     name: str = "scenario"
+    # set from the checked events: every spec the run admits, in first-
+    # appearance order, and {instant: [(row of admitted, is_join), ...]}
+    admitted: Tuple[ApplicationSpec, ...] = field(init=False, repr=False,
+                                                  compare=False)
+    schedule: Dict[int, List[Tuple[int, bool]]] = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "apps", tuple(self.apps))
@@ -82,10 +97,6 @@ class Scenario:
                 f"horizon must be positive and finite, got {self.horizon}")
         if self.sample_stride < 1:
             raise ConfigurationError("sample_stride must be >= 1")
-        for i, e in enumerate(self.events):
-            if not math.isfinite(e.time):
-                raise ConfigurationError(
-                    f"events[{i}].time must be finite, got {e.time}")
         # the Euler oracle records every instant of a fixed app set
         if self.mode == "ode_reference" and self.events:
             raise ConfigurationError("events are not supported in mode ode_reference")
@@ -93,9 +104,44 @@ class Scenario:
             raise ConfigurationError("sample_stride must be 1 in mode ode_reference")
         if not self.apps:
             raise ConfigurationError("a scenario needs at least one app")
-        ids = [a.id for a in self.apps]
-        if len(set(ids)) != len(ids):
+        rows = {a.id: i for i, a in enumerate(self.apps)}  # live id -> row
+        if len(rows) != len(self.apps):
             raise ConfigurationError("app ids must be unique")
+        # one pass over the events in time order, past the horizon too; each
+        # applies at the instant within 1e-9 periods of its time, or at 0 if
+        # before the run. Non-finite times come first, in the order given.
+        p, admitted, schedule = self.rm_period, list(self.apps), {}
+        for i, e in sorted(enumerate(self.events), key=lambda ie: (
+                t if math.isfinite(t := ie[1].time / p) else -math.inf)):
+            join, r = e.action == "join", e.time / p
+            aid = getattr(e.spec, "id", None) if join else e.app_id
+            # the first rule the event breaks names it
+            why = (f"action must be join or leave, got {e.action!r}"
+                   if e.action not in ("join", "leave") else
+                   "app: a join needs a spec, a leave an app id"
+                   if aid is None else
+                   f"time must be finite, got {e.time}"
+                   if not math.isfinite(e.time) else
+                   f"time/rm_period = {e.time}/{p} overflows"
+                   if not math.isfinite(r) else
+                   f"time {e.time} falls between manager instants"
+                   if abs(r - round(r)) > 1e-9 else
+                   f"app.id: app id {aid!r} already live"
+                   if join and aid in rows else
+                   f"app: leave event for unknown app {aid!r}"
+                   if not join and aid not in rows else
+                   "app.initial_bandwidth: a joiner is seeded at min(step, "
+                   "unused bandwidth, cap), so this key is not read"
+                   if join and e.spec.initial_bandwidth is not None else "")
+            if why:
+                raise ConfigurationError(f"events[{i}].{why}")
+            row = rows.pop(aid, len(admitted))  # a join takes the next row
+            if join:
+                rows[aid] = row
+                admitted.append(e.spec)
+            schedule.setdefault(max(0, round(r)), []).append((row, join))
+        object.__setattr__(self, "admitted", tuple(admitted))
+        object.__setattr__(self, "schedule", schedule)
 
     @property
     def steps(self) -> int:
@@ -259,13 +305,12 @@ def _parse_event(d, path: str) -> MembershipEvent:
     action = _want(d, "action", path)
     t = _float(_want(d, "time", path), f"{path}.time")
     if action == "join":
-        spec = _read(ApplicationSpec, _APP, _want(d, "app", path),
-                     f"{path}.app")
-        return MembershipEvent(t, "join", spec=spec)
+        return MembershipEvent(t, action, spec=_read(
+            ApplicationSpec, _APP, _want(d, "app", path), f"{path}.app"))
     if action == "leave":
-        app_id = _string(_want(d, "app", path), f"{path}.app")
-        return MembershipEvent(t, "leave", app_id=app_id)
-    raise ConfigurationError(f"{path}.action must be join or leave")
+        return MembershipEvent(t, action, app_id=_string(
+            _want(d, "app", path), f"{path}.app"))
+    return MembershipEvent(t, action)    # the Scenario refuses the action
 
 
 def scenario_from_dict(doc: Dict) -> Scenario:

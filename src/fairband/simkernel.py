@@ -214,25 +214,6 @@ def kernel_step(c: Coefficients, services: np.ndarray,
                 total)
 
 
-@dataclass(frozen=True)
-class MembershipEvent:
-    """An application joining or leaving at a manager instant."""
-    time: float
-    action: str                       # "join" or "leave"
-    spec: Optional[ApplicationSpec] = None
-    app_id: Optional[str] = None
-
-    def __post_init__(self):
-        if self.action == "join":
-            if self.spec is None:
-                raise ConfigurationError("join event requires an application spec")
-        elif self.action == "leave":
-            if self.app_id is None:
-                raise ConfigurationError("leave event requires an app id")
-        else:
-            raise ConfigurationError(f"unknown membership action {self.action!r}")
-
-
 # the per-row value columns of a Trajectory, in recording order
 VALUES = ("service", "bandwidth", "deadline", "response", "matching",
           "fairness")
@@ -317,17 +298,16 @@ def run_scenario(scenario) -> Trajectory:
     """Advance one scenario over its whole horizon and record every manager
     instant. See the scenario module for the scenario object itself.
 
-    Every app the run ever admits is compiled once, into one table in
-    first-appearance order; membership events split the run into epochs,
-    each an index array `live` into that table, stepped with kernel_step.
-    An epoch whose state repeats bit for bit after L or 2L instants, L the
-    lcm of its cadences, is filled by repetition from there on.
+    Every app the scenario admits is compiled once, into one table; its
+    checked schedule splits the run into epochs, each an index array `live`
+    into that table, stepped with kernel_step. An epoch whose state repeats
+    bit for bit after L or 2L instants, L the lcm of its cadences, is filled
+    by repetition from there on.
     """
     platform: PlatformSpec = scenario.platform
-    specs: List[ApplicationSpec] = list(scenario.apps)
     if scenario.strict_bounds:
         from .reference import compute_bounds
-        guard = compute_bounds(specs, platform).epsilon_star
+        guard = compute_bounds(scenario.apps, platform).epsilon_star
         if platform.step >= guard:
             raise ConfigurationError(
                 f"strict mode: step {platform.step} not below the starvation "
@@ -335,56 +315,37 @@ def run_scenario(scenario) -> Trajectory:
     state = scenario.initial_state()
     if scenario.mode == "ode_reference":
         from .reference import integrate_ode
-        return integrate_ode(state, specs, platform, platform.step,
+        return integrate_ode(state, scenario.apps, platform, platform.step,
                              scenario.horizon, rm_period=scenario.rm_period)
     period, steps = scenario.rm_period, scenario.steps
-    # every event is checked on ids, in time order, past the horizon too.
-    # It applies at the instant nearest its time, which must lie within
-    # 1e-9 periods of it; one before the run applies at instant 0. A join
-    # adds its spec to the run's table, and keeps its row there.
-    by_instant: Dict[int, List[Tuple[MembershipEvent, int]]] = {}
-    live_ids = {a.id for a in specs}
-    for j, e in sorted(enumerate(scenario.events), key=lambda p: p[1].time):
-        if abs((r := e.time / period) - (k := round(r))) > 1e-9:
-            raise ConfigurationError(
-                f"events[{j}].time {e.time} falls between manager instants")
-        join = e.action == "join"
-        aid = e.spec.id if join else e.app_id
-        if (aid in live_ids) == join:
-            raise ConfigurationError(
-                f"events[{j}].app.id: app id {aid!r} already live" if join
-                else f"events[{j}].app: leave event for unknown app {aid!r}")
-        live_ids ^= {aid}               # a join adds the id, a leave drops it
-        specs += [e.spec] if join else []
-        by_instant.setdefault(max(0, k), []).append((e, len(specs) - 1))
-    check_budget(steps, len(specs))
-    table = compile_apps(specs, platform, scenario.mode)
+    admitted = scenario.admitted
+    check_budget(steps, len(admitted))
+    table = compile_apps(admitted, platform, scenario.mode)
     recorded = np.zeros(steps, dtype=bool)
     recorded[::scenario.sample_stride] = True
     recorded[-1] = True
-    ids = tuple(a.id for a in scenario.apps)
-    live, since = np.arange(len(ids)), np.zeros(len(ids), dtype=int)
+    live = np.arange(len(scenario.apps))
+    since = np.zeros_like(live)
     s, v = state.services, state.bandwidths
-    edges = sorted({0, steps, *(k for k in by_instant if k < steps)})
+    edges = sorted({0, steps, *(k for k in scenario.schedule if k < steps)})
     blocks, epochs = [], []
     limit = 1.0 + SUM_TOL
     with np.errstate(**QUIET):
         for k0, k1 in zip(edges, edges[1:]):
-            for e, row in by_instant.get(k0, ()):
-                if e.action == "leave":
-                    i = ids.index(e.app_id)
-                    ids = ids[:i] + ids[i + 1:]
-                    live, since, s, v = (np.concatenate((x[:i], x[i + 1:]))
-                                         for x in (live, since, s, v))
+            for row, join in scenario.schedule.get(k0, ()):
+                if not join:
+                    keep = live != row
+                    live, since, s, v = (x[keep] for x in (live, since, s, v))
                     continue
                 # within the per-app cap that project_bandwidth enforces
                 seed = min(platform.step, 1.0 - float(v.sum()), platform.upper)
                 if seed <= 0.0:
-                    raise AdmissionError(f"cannot admit {e.spec.id!r}: no "
-                                         f"unused bandwidth for the seed")
-                ids += (e.spec.id,)
+                    raise AdmissionError(f"cannot admit {admitted[row].id!r}: "
+                                         f"no unused bandwidth for the seed")
                 live, since = np.append(live, row), np.append(since, k0)
-                s, v = np.append(s, e.spec.initial_service), np.append(v, seed)
+                s = np.append(s, admitted[row].initial_service)
+                v = np.append(v, seed)
+            ids = tuple(admitted[row].id for row in live.tolist())
             c = gather(table, live)
             if k0 < steps - 1 and (why := platform.breach(v, ids)):
                 raise InvariantViolation(

@@ -104,6 +104,16 @@ class TestSupDeviation:
         b = {**_path([], [], "x"), **_path([0.0, 1.0], [1.5, 2.0], "y")}
         assert sup_deviation_per_app(a, b, 1.0) == {"x": 0.0, "y": 0.5}
 
+    @pytest.mark.parametrize("a, b", [
+        (_path([0.0, 1.0], [math.inf, -math.inf]),
+         _path([0.0, 1.0], [math.inf, -math.inf])),
+        (_path([0.0, 1.0], [math.inf, math.inf]), _path([0.0], [math.inf]))],
+        ids=["shared", "apart"])
+    def test_equal_infinities_are_no_gap(self, a, b):
+        # inf - inf is nan and warns; two paths that agree at an infinity
+        # differ there by 0
+        assert sup_deviation(a, b, 1.0) == 0.0
+
     def test_mismatched_apps_rejected(self):
         with pytest.raises(ConfigurationError):
             sup_deviation(_path([0], [1], "a"), _path([0], [1], "b"), 1.0)
@@ -124,7 +134,8 @@ class TestSupDeviation:
 
 def union_grid_sup(paths_a, paths_b, horizon):
     """The definition sup_deviation_per_app is checked against: both paths
-    read on their merged breakpoint grid up to the horizon."""
+    read on their merged breakpoint grid up to the horizon, equal values
+    (two equal infinities too) differing by 0."""
     out = {}
     for aid, (ta, va) in paths_a.items():
         tb, vb = paths_b[aid]
@@ -132,7 +143,9 @@ def union_grid_sup(paths_a, paths_b, horizon):
         grid = grid[grid <= horizon + SUM_TOL]
         ia = np.maximum(np.searchsorted(ta, grid, side="right") - 1, 0)
         ib = np.maximum(np.searchsorted(tb, grid, side="right") - 1, 0)
-        out[aid] = float(np.max(np.abs(va[ia] - vb[ib]))) if grid.size else 0.0
+        with np.errstate(invalid="ignore"):     # inf - inf, masked below
+            gap = np.where(va[ia] == vb[ib], 0.0, np.abs(va[ia] - vb[ib]))
+        out[aid] = float(np.max(gap)) if grid.size else 0.0
     return out
 
 
@@ -184,9 +197,8 @@ def _bits(per_app):
 @example(({"x": (np.array([3.0]), np.array([-0.0]))},
           {"x": (np.array([3.0]), np.array([math.nan]))}), 2.5)
 def test_sup_matches_the_union_grid_bit_for_bit(pair, horizon):
-    with np.errstate(invalid="ignore"):         # inf - inf, inf - nan
-        got = sup_deviation_per_app(*pair, horizon)
-        want = union_grid_sup(*pair, horizon)
+    got = sup_deviation_per_app(*pair, horizon)
+    want = union_grid_sup(*pair, horizon)
     assert list(got) == list(want) == list(pair[0])
     assert np.array_equal(_bits(got), _bits(want))
 

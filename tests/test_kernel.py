@@ -129,6 +129,43 @@ def _churn(mode):
                     events=tuple(events), name="churn")
 
 
+# the schedule's corner cases: an event before time 0 (listed last, applied
+# at instant 0); a join listed before a leave at one instant, so the seed
+# is what the leaver leaves unused (0.0082), not the step; a leave and a
+# re-join of one id at one instant, the leave 1e-11 periods off it; and a
+# join past the horizon
+SCHEDULE = """
+name: schedule
+mode: async_compensated
+rm_period: 2.0
+horizon: 80.0
+platform: {cores: 1, step: 0.05}
+apps:
+  - {id: a, weight: 0.7, min_service: 0.0, initial_service: 1.0,
+     initial_bandwidth: 0.6, update_jobs: 1,
+     model: {kind: synthetic, a: 30.0, b: 200.0, deadline: 300.0}}
+  - {id: b, weight: 0.4, min_service: 0.5, initial_service: 2.0,
+     initial_bandwidth: 0.39, update_jobs: 2,
+     model: {kind: control, alpha: 400.0, beta: 1.5}}
+  - {id: c, weight: 0.9, min_service: 1.0, initial_service: 3.0,
+     initial_bandwidth: 0.01, update_jobs: 3,
+     model: {kind: multimedia, alpha: 200.0, deadline: 500.0}}
+events:
+  - {time: 20.0, action: join, app: {id: d, weight: 0.5, min_service: 1.0,
+     initial_service: 2.0, update_jobs: 2,
+     model: {kind: multimedia, alpha: 150.0, deadline: 400.0}}}
+  - {time: 20.0, action: leave, app: a}
+  - {time: 39.99999999998, action: leave, app: b}
+  - {time: 40.0, action: join, app: {id: b, weight: 0.8, min_service: 0.0,
+     initial_service: 1.0, update_jobs: 3,
+     model: {kind: synthetic, a: 10.0, b: 100.0, deadline: 800.0}}}
+  - {time: 120.0, action: join, app: {id: e, weight: 0.5, min_service: 1.0,
+     initial_service: 1.0, model: {kind: multimedia, alpha: 1.0,
+                                   deadline: 1.0}}}
+  - {time: -4.0, action: leave, app: c}
+"""
+
+
 PINNED = {
     "sync5": (lambda: _short("sync5"),
         "d68892aa7e5d9ae4d60903d9f3534ba21918ba3e0a8685021f9d5199086b020a"),
@@ -168,6 +205,9 @@ PINNED = {
         "38ef88fabefd0f5a5b21cce3ebbdb05b0bac93d7fbf6cee5936f11a196d8a36e"),
     "churn-uncompensated": (lambda: _churn("async_uncompensated"),
         "9c450dab0a544d2841671434b4403e7dc8505715235f2ade90470c2a8e975893"),
+    # recorded while run_scenario still walked the events itself
+    "schedule": (lambda: parse_scenario_text(SCHEDULE),
+        "ed26067a79bfdcbfee02fc8bc8068a6c27ab33c3862a3759fd33cc9839a4844c"),
 }
 
 

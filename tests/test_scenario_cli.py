@@ -93,8 +93,10 @@ class TestConfigFormat:
 
     def test_round_trip_with_events(self):
         base = parse_scenario("sync5")
+        # a joiner is seeded by the engine, so it carries no initial share
+        rejoin = dataclasses.replace(base.apps[4], initial_bandwidth=None)
         events = (MembershipEvent(2000.0, "leave", app_id="app5"),
-                  MembershipEvent(3000.0, "join", spec=base.apps[4]))
+                  MembershipEvent(3000.0, "join", spec=rejoin))
         s = dataclasses.replace(base, events=events)
         assert parse_scenario_text(emit(s)) == s
 
@@ -486,6 +488,37 @@ apps:
         assert main(["compare", str(a), str(a)]) == EXIT_VALIDATION
         assert str(a / "summary.json") in capsys.readouterr().err
 
+    # the schedule is checked when the scenario is built, so every verb
+    # that reads a scenario refuses a bad one
+    @pytest.mark.parametrize("event, field", [
+        ({"time": 2.5 * MS, "action": "leave", "app": "app1"},
+         "events[0].time"),
+        ({"time": 2.0 * MS, "action": "leave", "app": "nobody"},
+         "events[0].app: leave event for unknown app 'nobody'"),
+    ], ids=["misaligned", "leave-unknown"])
+    @pytest.mark.parametrize("verb", ["bounds", "solve"])
+    def test_verbs_refuse_a_bad_schedule(self, tmp_path, capsys, verb, event,
+                                         field):
+        cfg = tmp_path / "s.yaml"
+        cfg.write_text(yaml.safe_dump(_sync5_doc(events=[event])))
+        assert main([verb, str(cfg)]) == EXIT_VALIDATION
+        assert field in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["bounds", "sync5", "--mode", "sync"],
+        ["bounds", "sync5", "--horizon", "1"],
+        ["bounds", "sync5", "--strict"],
+        ["solve", "sync5", "--step", "0.1"],
+        ["solve", "sync5", "--mode", "sync"],
+        ["solve", "sync5", "--horizon", "1"],
+        ["solve", "sync5", "--strict"],
+    ], ids=lambda argv: " ".join(argv[::2]))
+    def test_verb_refuses_a_flag_it_does_not_read(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_VALIDATION
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_bounds_zeta_with_zero_floor_exits_2(self, capsys):
         # every sync5 app has min_service 0.0
         assert main(["bounds", "sync5", "--zeta", "0.5"]) == EXIT_VALIDATION
@@ -554,6 +587,22 @@ apps:
                           "deadline": 1.0}}},
              "events[1].app.id"))
     ] + [
+        # the engine seeds a joiner, so its initial_bandwidth is refused;
+        # a join of a live id is named as such first
+        (lambda d: d.update(events=[{"time": 2.0 * MS, "action": "join",
+                                     "app": dict(d["apps"][0], id="x")}]),
+         "events[0].app.initial_bandwidth"),
+        (lambda d: d.update(events=[{"time": 2.0 * MS, "action": "join",
+                                     "app": d["apps"][0]}]),
+         "events[0].app.id"),
+        # time / rm_period overflows a float
+        (lambda d: d.update(rm_period=0.5, horizon=2.0, events=[
+            {"time": 1.7e308, "action": "leave", "app": "app1"}]),
+         "events[0].time/rm_period"),
+        (lambda d: d.update(events=[{"time": 2.0 * MS, "action": "swap",
+                                     "app": "app1"}]),
+         "events[0].action must be join or leave"),
+    ] + [
         # six instants; the leave of an unknown app and the join of a live
         # id both fall after the last one, and are refused all the same
         (lambda d: d.update(events=[
@@ -564,7 +613,8 @@ apps:
             "rm_period", "step", "event-time", "update_jobs-2**63",
             "event-time-nan", "event-time-inf", "event-time--inf",
             "event-misaligned", "leave-unknown", "join-live",
-            "past-horizon"])
+            "join-initial-bandwidth", "join-live-initial-bandwidth",
+            "event-time-overflow", "unknown-action", "past-horizon"])
     def test_run_bad_field_exits_2_naming_it(self, tmp_path, capsys, edit,
                                              field):
         doc = _sync5_doc(horizon=5.0 * MS)
@@ -802,10 +852,11 @@ apps:
         # app5 leaves and app6 joins at the same instant: the row count per
         # instant stays 5, but the bandwidth column changes app
         doc = _sync5_doc(horizon=2000.0 * MS)
+        joiner = dict(doc["apps"][4], id="app6")
+        del joiner["initial_bandwidth"]     # the engine seeds a joiner
         doc["events"] = [
             {"time": 1000.0 * MS, "action": "leave", "app": "app5"},
-            {"time": 1000.0 * MS, "action": "join",
-             "app": dict(doc["apps"][4], id="app6")}]
+            {"time": 1000.0 * MS, "action": "join", "app": joiner}]
         cfg = tmp_path / "s.yaml"
         cfg.write_text(yaml.safe_dump(doc))
         out = tmp_path / "out"

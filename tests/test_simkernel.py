@@ -192,5 +192,32 @@ class TestMembership:
     def test_misaligned_event_rejected(self):
         apps = [_app(0, 0.9, v0=0.3)]
         events = (MembershipEvent(50.5, "leave", app_id="a0"),)
-        with pytest.raises(ConfigurationError):
-            run_scenario(_scenario(apps, steps=200, events=events))
+        with pytest.raises(ConfigurationError, match=r"events\[0\]\.time"):
+            _scenario(apps, steps=200, events=events)
+
+    # a MembershipEvent is a plain record; the Scenario holding it checks it
+    @pytest.mark.parametrize("event, message", [
+        (MembershipEvent(5.0, "join"),
+         r"events\[1\]\.app: a join needs a spec"),
+        (MembershipEvent(5.0, "leave"),
+         r"events\[1\]\.app: .*, a leave an app id"),
+        (MembershipEvent(5.0, "swap", app_id="a0"),
+         r"events\[1\]\.action must be join or leave, got 'swap'"),
+    ], ids=["join-without-spec", "leave-without-id", "unknown-action"])
+    def test_bad_event_refused_when_the_scenario_is_built(self, event,
+                                                          message):
+        events = (MembershipEvent(9.0, "leave", app_id="a0"), event)
+        with pytest.raises(ConfigurationError, match=message):
+            _scenario([_app(0, v0=0.3)], steps=10, events=events)
+
+    def test_scenario_holds_the_checked_schedule(self):
+        # a leave and a re-join of one id at instant 3, listed in reverse
+        # time order; the re-joiner takes a new row of the run's app table
+        apps = [_app(0, v0=0.3), _app(1, v0=0.3)]
+        events = (MembershipEvent(3.0, "join", spec=_app(1, v0=None)),
+                  MembershipEvent(3.0 - 1e-12, "leave", app_id="a1"),
+                  MembershipEvent(-1.0, "join", spec=_app(2, v0=None)))
+        s = _scenario(apps, steps=10, events=events)
+        assert [a.id for a in s.admitted] == ["a0", "a1", "a2", "a1"]
+        assert s.admitted[3] is events[0].spec
+        assert s.schedule == {0: [(2, True)], 3: [(1, False), (3, True)]}
