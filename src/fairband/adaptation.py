@@ -36,7 +36,7 @@ def _remove_excess(vnew: np.ndarray, excess: float, clipped: np.ndarray) -> np.n
     return v
 
 
-def project_bandwidth(raw: np.ndarray, upper: float
+def project_bandwidth(raw: np.ndarray, upper: float, out=None
                       ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Project unconstrained bandwidths onto the feasible set; the last axis
     is the app axis.
@@ -46,19 +46,24 @@ def project_bandwidth(raw: np.ndarray, upper: float
     projected bandwidths, the mask of apps the projection moved and the row
     sums after the clip. A row whose sum is at most 1 + SUM_TOL is the clip
     alone, so it is feasible; only a row above that had its excess removed.
+    `out`, when given, is the (bandwidths, mask) pair to write the first two
+    into; either may be None. `raw` must not be one of them.
     """
-    box = np.minimum(np.maximum(raw, 0.0), upper)
-    clipped = box != raw
-    total = np.add.reduce(box, axis=-1)
+    v, clipped = (None, None) if out is None else out
+    v = np.maximum(raw, 0.0, out=v)
+    np.minimum(v, upper, out=v)
+    clipped = np.not_equal(v, raw, out=clipped)
+    total = np.add.reduce(v, axis=-1)
     over = total > 1.0 + SUM_TOL
-    # the ufunc reduce skips ndarray.any's Python wrapper
-    if not np.logical_or.reduce(over, axis=None):
-        return box, clipped, total
-    v = box.copy()
-    rows, hit = v.reshape(-1, v.shape[-1]), clipped.reshape(-1, v.shape[-1])
-    for r in np.flatnonzero(over):
-        rows[r] = _remove_excess(rows[r], total.flat[r] - 1.0, hit[r])
-    return v, clipped | (v != box), total
+    # one row's test is a numpy bool; the ufunc reduce over many rows skips
+    # ndarray.any's Python wrapper
+    if not (np.logical_or.reduce(over, axis=None) if over.ndim else over):
+        return v, clipped, total
+    box = v.copy()
+    for row in map(tuple, np.argwhere(over)):
+        v[row] = _remove_excess(box[row], total[row] - 1.0, clipped[row])
+    np.logical_or(clipped, v != box, out=clipped)
+    return v, clipped, total
 
 
 def rm_step(state: SystemState,

@@ -115,6 +115,10 @@ def run_bundle(scenario: scen.Scenario, out_dir: Path) -> Dict:
     """Execute a scenario, write trajectory.csv and summary.json into
     out_dir, and return the summary."""
     traj = run_scenario(scenario)
+    if len(traj) == 0:
+        raise ConfigurationError(
+            "events: no app is live at any recorded instant, so the run "
+            "records no rows")
     bounds = reference.compute_bounds(scenario.apps, scenario.platform)
     report_obj = analysis.sweep_invariants(traj, scenario.platform)
     lam = [a.weight for a in scenario.apps]
@@ -124,8 +128,9 @@ def run_bundle(scenario: scen.Scenario, out_dir: Path) -> Dict:
         "bounds": dataclasses.asdict(bounds),
         "invariants": dataclasses.asdict(report_obj),
     }
-    last_t = traj.time[-1]
-    mask = traj.time == last_t
+    # the finals are the rows of the run's last instant, none when no app
+    # is live there
+    mask = traj.time == scenario.last_time
     final_v = {str(a): float(v) for a, v in zip(traj.app[mask],
                                                 traj.bandwidth[mask])}
     summary["final_bandwidths"] = final_v

@@ -1,7 +1,7 @@
 """Formula layer: fairness measure, the feasible allocation, models.
 
 Everything here is stateless. Vectors are plain sequences or numpy arrays;
-no function mutates its arguments.
+no function mutates its arguments, except an `out` array it is handed.
 """
 
 from __future__ import annotations
@@ -20,18 +20,24 @@ SUM_TOL = 1e-12
 MAX_UPDATE_JOBS = int(np.iinfo(np.int64).max)
 
 
-def fairness_vector(matchings, bandwidths, weights) -> np.ndarray:
+def fairness_vector(matchings, bandwidths, weights, out=None) -> np.ndarray:
     """Weighted imbalance of every app; the last axis is the app axis.
 
     F_i = -(1 - vbar_i) * lam_i * min(phi_i, 0)
           + vbar_i * sum_{j != i} lam_j * min(phi_j, 0)
 
     `bandwidths` are normalized (vbar = v / cores), each in [0, 1/cores].
+    The result is written into `out` when given. It is evaluated as
+    vbar * (total - w) - (1 - vbar) * w, which has the bits of the sum
+    above: b - x equals -x + b exactly, signed zeros included.
     """
-    vbar = np.asarray(bandwidths)
+    vbar = bandwidths
     w = np.multiply(weights, np.minimum(matchings, 0.0))
     total = np.add.reduce(w, axis=-1, keepdims=True)
-    return -(1.0 - vbar) * w + vbar * (total - w)
+    out = np.subtract(1.0, vbar, out=out)
+    np.multiply(out, w, out=out)
+    np.multiply(vbar, np.subtract(total, w, out=w), out=w)
+    return np.subtract(w, out, out=out)
 
 
 @dataclass(frozen=True)

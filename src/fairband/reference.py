@@ -13,7 +13,8 @@ from .core import (SUM_TOL, ApplicationSpec, PlatformSpec, SystemState,
                    fairness_vector)
 from .errors import ConfigurationError, ConvergenceError
 from .simkernel import (QUIET, VALUES, Trajectory, check_budget,
-                        compile_apps, instants, project_service)
+                        compile_apps, instant_time, instants,
+                        project_service)
 
 
 @dataclass(frozen=True)
@@ -240,4 +241,5 @@ def integrate_ode(initial: SystemState, specs: Sequence[ApplicationSpec],
             v = project_bandwidth(v + tau_step * Phi, c.upper)[0]
             s = project_service(c, s + tau_step * phi)
     return Trajectory.from_records(
-        [(np.arange(steps) * rm_period, [a.id for a in specs], rec)])
+        [(instant_time(np.arange(steps), rm_period), [a.id for a in specs],
+          rec)])

@@ -19,7 +19,7 @@ import yaml
 from .core import (ApplicationSpec, JobModel, PlatformSpec, SystemState,
                    make_state)
 from .errors import ConfigurationError
-from .simkernel import MODES, instants
+from .simkernel import MODES, instant_time, instants
 
 MS = 1000.0  # time-units per millisecond
 
@@ -147,6 +147,11 @@ class Scenario:
     def steps(self) -> int:
         """Number of manager instants recorded over the horizon."""
         return instants(self.horizon, self.rm_period)
+
+    @property
+    def last_time(self) -> float:
+        """Time of the last manager instant, which every run records."""
+        return instant_time(self.steps - 1, self.rm_period)
 
     def initial_state(self) -> SystemState:
         """Starting (services, bandwidths); apps without an explicit initial

@@ -49,6 +49,12 @@ def instants(horizon: float, period: float) -> int:
     return int(round(ratio)) + 1
 
 
+def instant_time(k, period: float):
+    """The time of manager instant k, an int or an int array. Every time a
+    run records follows this one rule."""
+    return k * period
+
+
 def check_budget(steps: int, apps: int) -> None:
     """Reject a run of `steps` manager instants over `apps` apps that would
     exceed MAX_APP_STEPS, before anything of that size is allocated."""
@@ -59,27 +65,35 @@ def check_budget(steps: int, apps: int) -> None:
             f"{MAX_APP_STEPS}: shorten horizon or raise rm_period")
 
 
-def measure(job, service, bandwidth_unnormalized, cold=None):
+def measure(job, service, bandwidth_unnormalized, cold=None, out=None):
     """Run one fluid job per app: returns (deadline, response, matching).
 
     `job` holds the coefficients (c1, c0, d0, d1) of JobModel.coefficients,
     as scalars or arrays whose last axis is the app axis; d1 None means no
-    app's deadline depends on s, so D is d0 itself (read-only). Response
-    time is C / v; zero bandwidth gives an infinite response and the
-    limiting matching value -1. The apps in the `cold` mask, with no job
-    completed yet, read the neutral (D, D, 0); None means no app is cold.
+    app's deadline depends on s, so D is d0. Response time is C / v; zero
+    bandwidth gives an infinite response and the limiting matching value
+    -1. The apps in the `cold` mask, with no job completed yet, read the
+    neutral (D, D, 0); None means no app is cold. `out`, when given, is
+    the three arrays of the state's shape to write (D, R, matching) into.
     Callers run this under np.errstate(**QUIET).
     """
     c1, c0, d0, d1 = job
     s, vu = service, bandwidth_unnormalized
-    if d1 is None:
-        D = d0 if d0.shape == s.shape else np.broadcast_to(d0, s.shape)
-    else:
-        D = np.where(d1 > 0.0, d1 / s, d0)
-    R = np.where(vu > 0.0, (c1 * s + c0) / vu, np.inf)
+    if out is None:
+        shape = np.shape(s)
+        out = np.empty(shape), np.empty(shape), np.empty(shape)
+    D, R, f = out
+    np.copyto(D, d0)
+    if d1 is not None:
+        np.divide(d1, s, out=D, where=d1 > 0.0)
+    # the execution time C sits in f until the matching replaces it
+    np.add(np.multiply(c1, s, out=f), c0, out=f)
+    R.fill(np.inf)
+    np.divide(f, vu, out=R, where=vu > 0.0)
     if cold is not None:
-        R = np.where(cold, D, R)
-    return D, R, D / R - 1.0
+        np.copyto(R, D, where=cold)
+    np.subtract(np.divide(D, R, out=f), 1.0, out=f)
+    return D, R, f
 
 
 def measure_job(model: JobModel, service: float,
@@ -148,7 +162,6 @@ def gather(c: Coefficients, live: np.ndarray) -> Coefficients:
     them."""
     c1, c0, d0, d1, gain = (x if x is None else x[live]
                             for x in (*c.job, c.gain))
-    d0.flags.writeable = False      # measure may hand d0 out as D itself
     return replace(
         c, job=(c1, c0, d0, None if d1 is None or not (d1 > 0.0).any()
                 else d1),
@@ -156,18 +169,26 @@ def gather(c: Coefficients, live: np.ndarray) -> Coefficients:
         gain=None if gain is None or (gain == 1.0).all() else gain)
 
 
-def project_service(c: Coefficients, services: np.ndarray) -> np.ndarray:
-    """Clamp service levels onto each app's [floor, ceiling]."""
-    return np.minimum(c.hi, np.maximum(c.lo, services))
+def project_service(c: Coefficients, services: np.ndarray, out=None
+                    ) -> np.ndarray:
+    """Clamp service levels onto each app's [floor, ceiling], into `out`
+    when given."""
+    return np.minimum(c.hi, np.maximum(c.lo, services, out=out), out=out)
 
 
 def service_step(c: Coefficients, services: np.ndarray,
-                 matchings: np.ndarray, due) -> np.ndarray:
-    """The service recursion of the apps in the `due` mask: s + eps * gain
-    * f, projected; the others keep their service."""
+                 matchings: np.ndarray, *, idle, out=None) -> np.ndarray:
+    """The service recursion: s + eps * gain * f, projected, for every app
+    but those in the `idle` mask (the apps not due at this instant), which
+    keep their service. `idle` is keyword-only because it is the inverse
+    of the due mask this argument once took. The result is written into
+    `out` when given; it must not be `services`."""
     s, f = services, matchings
-    step = c.eps * (f if c.gain is None else c.gain * f)
-    return np.where(due, project_service(c, s + step), s)
+    out = np.multiply(c.eps, f if c.gain is None else c.gain * f,
+                      out=np.empty(np.shape(s)) if out is None else out)
+    project_service(c, np.add(s, out, out=out), out=out)
+    np.copyto(out, s, where=idle)
+    return out
 
 
 def due_mask(c: Coefficients, since: np.ndarray, k0: int, k1: int
@@ -178,40 +199,39 @@ def due_mask(c: Coefficients, since: np.ndarray, k0: int, k1: int
     return (np.arange(k0, k1)[:, None] - since) % c.cadence == 0
 
 
-class Step(NamedTuple):
-    """One manager instant: what was measured at the entering state, and the
-    state it leaves."""
-    deadline: np.ndarray
-    response: np.ndarray
-    matching: np.ndarray
-    fairness: np.ndarray
-    services: np.ndarray
-    bandwidths: np.ndarray
-    clipped: np.ndarray             # apps the bandwidth projection moved
-    total: np.ndarray               # bandwidth row sums before excess removal
+def kernel_step(c: Coefficients, here: np.ndarray, there: np.ndarray, *,
+                idle, cold=None, clipped=None) -> np.ndarray:
+    """Advance services and normalized bandwidths by one manager instant,
+    in place.
 
+    `here` is the instant's record row, the len(VALUES) columns stacked on
+    its first axis: the kernel reads the entering services and bandwidths
+    from here[0:2] and writes (deadline, response, matching, fairness) into
+    here[2:6]; it writes the leaving services and bandwidths into
+    there[0:2]. Each column has the app axis last and any leading axes,
+    e.g. (S, n) for S scenarios side by side. `idle` masks the apps that
+    keep their service at this instant (~due_mask); `cold` masks the apps
+    at their cold start, the instant they joined, or is None when no app
+    is. `clipped`, when given, receives the mask of apps the bandwidth
+    projection moved. The phases are: measure every app, form the
+    fairness signal, take the projected bandwidth step, then the service
+    step of the due apps.
 
-def kernel_step(c: Coefficients, services: np.ndarray,
-                bandwidths: np.ndarray, due, cold=None) -> Step:
-    """Advance services and normalized bandwidths by one manager instant.
-
-    Arrays have the app axis last and any leading axes, e.g. (S, n) for S
-    scenarios side by side. `due` masks the apps that update their service
-    at this instant (see due_mask); `cold` masks the apps at their cold
-    start, the instant they joined, or is None when no app is. The phases
-    are: measure every app, form the fairness signal, take the projected
-    bandwidth step, then the service step of the due apps.
-
-    The caller runs its step loop under np.errstate(**QUIET). A row whose
-    `total` exceeds 1 + SUM_TOL had its excess removed; every other row is
-    feasible by construction (see project_bandwidth).
+    Returns the bandwidth row sums before excess removal. A row whose sum
+    exceeds 1 + SUM_TOL had its excess removed; every other row is
+    feasible by construction (see project_bandwidth). The caller runs its
+    step loop under np.errstate(**QUIET).
     """
-    s, v = services, bandwidths
-    D, R, f = measure(c.job, s, v if c.kappa == 1 else c.kappa * v, cold)
-    F = fairness_vector(f, v, c.lam)
-    v_next, clipped, total = project_bandwidth(v + c.eps * F, c.upper)
-    return Step(D, R, f, F, service_step(c, s, f, due), v_next, clipped,
-                total)
+    # indexing takes the six views faster than unpacking the array
+    s, v, D, R, f, F = (here[0], here[1], here[2], here[3], here[4],
+                        here[5])
+    measure(c.job, s, v if c.kappa == 1 else c.kappa * v, cold, (D, R, f))
+    fairness_vector(f, v, c.lam, out=F)
+    raw = np.multiply(c.eps, F)
+    total = project_bandwidth(np.add(v, raw, out=raw), c.upper,
+                              out=(there[1], clipped))[2]
+    service_step(c, s, f, idle=idle, out=there[0])
+    return total
 
 
 # the per-row value columns of a Trajectory, in recording order
@@ -351,7 +371,13 @@ def run_scenario(scenario) -> Trajectory:
                 raise InvariantViolation(
                     f"input state is not a feasible allocation: {why}",
                     step=k0)
-            rec = np.empty((k1 - k0, len(VALUES), len(ids)))
+            # the record is the kernel's working memory: the state entering
+            # instant i is rec[i, 0:2], and one extra row takes the state
+            # the epoch leaves
+            rec = np.empty((k1 - k0 + 1, len(VALUES), len(ids)))
+            rec[0, 0], rec[0, 1] = s, v
+            # the kernel writes the apps the bandwidth projection moved here
+            clipped = np.empty(len(ids), dtype=bool)
             cold = since == k0
             # past the cold start an instant's step depends only on the
             # entering state and on the due masks, which repeat every L
@@ -359,33 +385,34 @@ def run_scenario(scenario) -> Trajectory:
             # the state entering i - P >= 1 for P = L or 2L, every later
             # row repeats the rows from i - P, and so does each post-step
             # check. 2L also catches a cycle whose period divides 2L but
-            # not L, such as a 2-cycle at an odd L.
+            # not L, such as a 2-cycle at an odd L. The fill runs through
+            # the extra row, so the state the epoch leaves is read from the
+            # record whether it was stepped or filled.
             L = math.lcm(*c.cadence.tolist())
             check, refs, P, stepped = L, (), 0, k1 - k0
-            for i, due in enumerate(due_mask(c, since, k0, k1)):
+            for i, idle in enumerate(~due_mask(c, since, k0, k1)):
                 if i == check:
                     # raw bytes, so that -0.0, nan and inf match exactly
-                    key = s.tobytes() + v.tobytes()
+                    key = rec[i, :2].tobytes()
                     P = next((m * L for m, ref in enumerate(refs, 1)
                               if ref == key), 0)
                     if P:
-                        rec[i:] = rec[i - P + np.arange(k1 - k0 - i) % P]
-                        last = i - P + (k1 - k0 - i) % P
-                        s, v = rec[last, 0].copy(), rec[last, 1].copy()
+                        rec[i:] = rec[i - P + np.arange(len(rec) - i) % P]
                         stepped = i
                         break
                     check, refs = i + L, (key, *refs[:1])
-                r = kernel_step(c, s, v, due, cold)
+                total = kernel_step(c, rec[i], rec[i + 1], idle=idle,
+                                    cold=cold, clipped=clipped)
                 cold = None
-                rec[i] = (s, v, r.deadline, r.response, r.matching, r.fairness)
-                s, v = r.services, r.bandwidths
                 # rows within the sum limit are the clip alone, in the box
-                if r.total > limit and (why := platform.breach(v, ids)):
+                if total > limit and (why := platform.breach(rec[i + 1, 1],
+                                                             ids)):
                     raise InvariantViolation(
                         f"bandwidth allocation left the feasible set: {why}",
                         step=k0 + i)
+            s, v = rec[-1, 0], rec[-1, 1]
             keep = recorded[k0:k1]
-            blocks.append(((np.flatnonzero(keep) + k0) * period, ids,
-                           rec[keep]))
+            blocks.append((instant_time(np.flatnonzero(keep) + k0, period),
+                           ids, rec[:-1][keep]))
             epochs.append(Epoch(k0, k1, ids, P, stepped))
     return replace(Trajectory.from_records(blocks), epochs=epochs)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from fairband import Coefficients, kernel_step
-from fairband.simkernel import QUIET
+from fairband.simkernel import QUIET, VALUES
 
 
 @dataclass
@@ -56,21 +56,30 @@ def run_batch(alpha, deadline, lam, s0, v0, s_floor, eps, steps,
     left = np.zeros(S, bool)
     big = np.where(active, 0.0, np.inf)  # padding never counts toward minima
 
+    # this instant's record row and the next one, used in turn: the kernel
+    # reads (s, v) from the first and writes the leaving (s, v) into the
+    # second (see kernel_step)
+    rows = np.empty((2, len(VALUES), S, n))
+    rows[0, 0], rows[0, 1] = s, v
+    clipped = np.empty((S, n), dtype=bool)
     sums = v.sum(axis=1)
     cold = True  # every app starts cold
     with np.errstate(**QUIET):
         for k in range(steps):
-            r = kernel_step(coef, s, v, True, cold)
+            here, there = rows[k % 2], rows[1 - k % 2]
+            kernel_step(coef, here, there, idle=False, cold=cold,
+                        clipped=clipped)
             cold = None
-            new_sums = r.bandwidths.sum(axis=1)
+            s, v = there[0], there[1]
+            new_sums = v.sum(axis=1)
             # one-core accounting on steps the projection left alone:
             # (sum - 1) contracts by (1 + eps * sum lam*min(f, 0))
             drift = (sums - 1.0) * (1.0 + eps[:, 0] * (
-                lam * np.minimum(r.matching, 0.0)).sum(axis=1))
+                lam * np.minimum(here[4], 0.0)).sum(axis=1))
             err = np.abs(new_sums - 1.0 - drift)
             ident_err = max(ident_err, float(err.max(
-                where=~r.clipped.any(axis=1), initial=0.0)))
-            s, v, sums = r.services, r.bandwidths, new_sums
+                where=~clipped.any(axis=1), initial=0.0)))
+            sums = new_sums
 
             min_v = np.minimum(min_v, (v + big).min(axis=1))
             max_sum = np.maximum(max_sum, sums)

@@ -139,7 +139,8 @@ def _service(s, f, eps, lo, hi=np.inf, cadence=1):
     coef = Coefficients(job=(1.0, 0.0, 1.0, 0.0), lam=1.0, lo=lo, hi=hi,
                         cadence=cadence, gain=float(cadence), eps=eps,
                         kappa=1, upper=1.0)
-    return float(service_step(coef, np.float64(s), np.float64(f), True))
+    return float(service_step(coef, np.float64(s), np.float64(f),
+                              idle=False))
 
 
 class TestAppSteps:
@@ -174,3 +175,12 @@ class TestAppSteps:
     def test_async_rejects_bad_count(self):
         with pytest.raises(ConfigurationError):
             dataclasses.replace(_specs([0.5])[0], update_jobs=0)
+
+    def test_idle_mask_is_keyword_only(self):
+        # the argument was once the due mask, its inverse; a positional call
+        # must fail rather than update no app
+        coef = Coefficients(job=(1.0, 0.0, 1.0, 0.0), lam=1.0, lo=0.0,
+                            hi=np.inf, cadence=1, gain=None, eps=0.1,
+                            kappa=1, upper=1.0)
+        with pytest.raises(TypeError):
+            service_step(coef, np.float64(1.0), np.float64(0.5), True)

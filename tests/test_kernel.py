@@ -281,7 +281,40 @@ def _count_steps(monkeypatch):
 def test_settled_epoch_is_filled_not_stepped(monkeypatch):
     calls = _count_steps(monkeypatch)
     run_scenario(_short("async3", instants=5001))
-    assert calls[0] <= 1100
+    assert calls[0] == 1050
+
+
+def _without_fill(s, monkeypatch):
+    """run_scenario(s) with an lcm past the last instant, so that the
+    repeat check never runs and every instant is stepped."""
+    with monkeypatch.context() as m:
+        m.setattr(simkernel.math, "lcm", lambda *cadences: s.steps)
+        return run_scenario(s)
+
+
+# a filled epoch, then a leave and a join, so that the state the fill leaves
+# seeds the next epoch; the uncompensated run settles only from 3,970, so
+# its app leaves later
+FILLED_THEN_EVENTS = {
+    "async3-5e7-compensated": _tail_event,
+    "async3-5e7-uncompensated": lambda: dataclasses.replace(
+        _tail_event(leave=4500), mode="async_uncompensated"),
+    "async3-5e7-2-cores": lambda: _cores(_tail_event(), 2),
+}
+
+
+@pytest.mark.parametrize("name", FILLED_THEN_EVENTS)
+def test_fill_is_exact_across_events(name, monkeypatch):
+    s = dataclasses.replace(FILLED_THEN_EVENTS[name](), sample_stride=1)
+    filled = run_scenario(s)
+    stepped = _without_fill(s, monkeypatch)
+    # the first epoch is filled and ends in the leave
+    assert len(filled.epochs) == 3 and filled.epochs[0].period > 0
+    assert all(e.period == 0 for e in stepped.epochs)
+    assert np.array_equal(filled.app, stepped.app)
+    for column in COLUMNS:
+        assert np.array_equal(getattr(filled, column).view(np.int64),
+                              getattr(stepped, column).view(np.int64)), column
 
 
 @pytest.mark.parametrize("build, stepped", [
@@ -294,10 +327,7 @@ def test_settled_epoch_is_filled_not_stepped(monkeypatch):
 ], ids=["sync5-step-1.0", "mixed-step-0.6"])
 def test_two_cycle_at_odd_lcm_is_filled(build, stepped, monkeypatch):
     s = build()
-    with monkeypatch.context() as m:
-        # an lcm past the last instant: the repeat check never runs
-        m.setattr(simkernel.math, "lcm", lambda *cadences: s.steps)
-        stepped_run = run_scenario(s)
+    stepped_run = _without_fill(s, monkeypatch)
     calls = _count_steps(monkeypatch)
     filled = run_scenario(s)
     assert calls[0] == stepped
@@ -378,15 +408,21 @@ def test_compiled_identities_match_the_general_form():
                  rng.uniform(0.0, 5.0, (S, n)))
     v = np.where(rng.random((S, n)) < 0.1, 0.0,
                  rng.uniform(0.0, 1.0 / n, (S, n)))
-    due = rng.random((S, n)) < 0.5
+    idle = rng.random((S, n)) < 0.5
     for cold in (None, rng.random((S, n)) < 0.5):
-        with np.errstate(**QUIET):
-            want = kernel_step(general, s, v, due, cold)
-            got = kernel_step(compiled, s, v, due, cold)
-        for name, a, b in zip(want._fields, want, got):
+        out = []
+        for coef in (general, compiled):
+            # an entering row and the next, and the clipped mask
+            rows = np.full((2, len(VALUES), S, n), np.nan)
+            rows[0, 0], rows[0, 1] = s, v
+            clipped = np.zeros((S, n), dtype=bool)
+            with np.errstate(**QUIET):
+                total = kernel_step(coef, rows[0], rows[1], idle=idle,
+                                    cold=cold, clipped=clipped)
+            out.append((rows, clipped, total))
+        for name, a, b in zip(("rows", "clipped", "total"), *out):
             assert a.shape == b.shape and a.dtype == b.dtype, name
-            assert np.array_equal(np.asarray(a).view(np.uint8),
-                                  np.asarray(b).view(np.uint8)), name
+            assert a.tobytes() == b.tobytes(), name
 
 
 @st.composite
@@ -466,16 +502,18 @@ def test_batched_rows_match_single_runs():
     s = np.tile(state.services, (len(steps), 1))
     v = np.tile(state.bandwidths, (len(steps), 1))
     n = len(base.apps)
-    due = due_mask(coef, np.zeros(n, dtype=int), 0, base.steps)
+    idle = ~due_mask(coef, np.zeros(n, dtype=int), 0, base.steps)
+    # the batch's epoch record, one extra row for the state it leaves
+    rec = np.empty((base.steps + 1, len(VALUES), len(steps), n))
+    rec[0, 0], rec[0, 1] = s, v
     with np.errstate(**QUIET):
         for k in range(base.steps):
-            r = kernel_step(coef, s, v, due[k], True if k == 0 else None)
-            for row, single in enumerate(singles):
-                for name, got in zip(VALUES, (s, v, r.deadline, r.response,
-                                              r.matching, r.fairness)):
-                    want = getattr(single, name)[k * n:(k + 1) * n]
-                    assert np.array_equal(got[row], want), (k, row, name)
-            s, v = r.services, r.bandwidths
+            kernel_step(coef, rec[k], rec[k + 1], idle=idle[k],
+                        cold=True if k == 0 else None)
+    for row, single in enumerate(singles):
+        for j, name in enumerate(VALUES):
+            want = getattr(single, name).reshape(base.steps, n)
+            assert np.array_equal(rec[:-1, j, row], want), (row, name)
 
 
 

@@ -866,6 +866,34 @@ apps:
         assert conv["settle_time"] is None
         assert conv["final_fairness_residuals"] == {}
 
+    @staticmethod
+    def _all_leave(tmp_path, time):
+        """sync5 over 5,000 tu with every app leaving at `time`."""
+        doc = _sync5_doc(horizon=5000.0, events=[
+            {"time": time, "action": "leave", "app": a["id"]}
+            for a in _sync5_doc()["apps"]])
+        cfg = tmp_path / "s.yaml"
+        cfg.write_text(yaml.safe_dump(doc))
+        return cfg
+
+    def test_run_with_no_app_at_any_instant_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        cfg = self._all_leave(tmp_path, 0.0)
+        assert main(["run", str(cfg), "--out", str(out)]) == EXIT_VALIDATION
+        assert "events" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_finals_are_read_at_the_last_instant(self, tmp_path):
+        # every app leaves at 1000, so no app is live at 5000, the last
+        # instant: there are no finals and no convergence verdict
+        out = tmp_path / "out"
+        cfg = self._all_leave(tmp_path, 1000.0)
+        assert main(["run", str(cfg), "--out", str(out)]) == EXIT_OK
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["final_bandwidths"] == {}
+        assert summary["final_services"] == {}
+        assert "convergence" not in summary
+
     @pytest.mark.parametrize("platform, cap", [
         ("{cores: 2, step: 0.6}", 0.5),
         ("{cores: 1, step: 0.6, max_total_bandwidth: 0.4}", 0.4)],
