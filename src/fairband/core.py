@@ -58,9 +58,13 @@ class JobModel:
     a: float = 0.0
     b: float = 0.0
     beta: Optional[float] = None
+    # the coefficients each kind reads, in echo order; any kind may give beta
+    READS = {"synthetic": ("a", "b", "deadline"),
+             "multimedia": ("alpha", "deadline"),
+             "control": ("alpha", "beta")}
 
     def __post_init__(self):
-        if self.kind not in ("multimedia", "control", "synthetic"):
+        if not (isinstance(self.kind, str) and self.kind in self.READS):
             raise ConfigurationError(f"unknown job model kind {self.kind!r}")
         if self.kind == "multimedia":
             if not (self.alpha > 0.0):

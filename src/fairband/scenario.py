@@ -1,9 +1,7 @@
 """Scenario definition, YAML config parsing and the built-in presets.
 
-A scenario file is a nested key-value (YAML) document. Job model
-coefficients may be declared in milliseconds (`coeff_unit: ms`) or raw
-time-units (`coeff_unit: tu`, the default); one millisecond is 1000
-time-units. Parsed scenarios always carry time-unit values.
+Parsed scenarios carry time-unit values; a job model's coefficients may be
+given in milliseconds (`coeff_unit: ms`) of 1000 time-units each.
 """
 
 from __future__ import annotations
@@ -63,6 +61,11 @@ class MembershipEvent:
     spec: Optional[ApplicationSpec] = None
     app_id: Optional[str] = None
 
+    @property
+    def app(self):
+        """The config's `app`: a join's spec, a leave's id."""
+        return self.spec if self.action == "join" else self.app_id
+
 
 @dataclass(frozen=True)
 class Scenario:
@@ -111,6 +114,9 @@ class Scenario:
         # applies at the instant within 1e-9 periods of its time, or at 0 if
         # before the run. Non-finite times come first, in the order given.
         p, admitted, schedule = self.rm_period, list(self.apps), {}
+        # the live set holds from instant lo; seen: some app is live at a
+        # recorded instant before lo
+        lo, seen = 0, False
         for i, e in sorted(enumerate(self.events), key=lambda ie: (
                 t if math.isfinite(t := ie[1].time / p) else -math.inf)):
             join, r = e.action == "join", e.time / p
@@ -135,23 +141,37 @@ class Scenario:
                    if join and e.spec.initial_bandwidth is not None else "")
             if why:
                 raise ConfigurationError(f"events[{i}].{why}")
+            k = max(0, round(r))
+            seen = seen or (bool(rows) and any(self.recorded(lo, k)))
+            lo = k
             row = rows.pop(aid, len(admitted))  # a join takes the next row
             if join:
                 rows[aid] = row
                 admitted.append(e.spec)
-            schedule.setdefault(max(0, round(r)), []).append((row, join))
+            schedule.setdefault(k, []).append((row, join))
+        if not (seen or (rows and any(self.recorded(lo, self.steps)))):
+            raise ConfigurationError(
+                "events: no app is live at any recorded instant, so the run "
+                "records no rows")
         object.__setattr__(self, "admitted", tuple(admitted))
         object.__setattr__(self, "schedule", schedule)
 
     @property
     def steps(self) -> int:
-        """Number of manager instants recorded over the horizon."""
+        """Number of manager instants over the horizon."""
         return instants(self.horizon, self.rm_period)
 
     @property
     def last_time(self) -> float:
         """Time of the last manager instant, which every run records."""
         return instant_time(self.steps - 1, self.rm_period)
+
+    def recorded(self, k0: int, k1: int) -> Tuple[range, range]:
+        """The instants k0 <= k < k1 that a run records, as two ranges: the
+        multiples of sample_stride below the last instant, then the last."""
+        last, m = self.steps - 1, self.sample_stride
+        return (range(k0 + -k0 % m, min(k1, last), m),
+                range(max(k0, last), min(k1, last + 1)))
 
     def initial_state(self) -> SystemState:
         """Starting (services, bandwidths); apps without an explicit initial
@@ -174,40 +194,29 @@ class Scenario:
 
     def echo(self) -> Dict:
         """Plain-dict form of the scenario; emit() serializes exactly this."""
-        return {
-            "name": self.name,
-            "mode": self.mode,
-            "rm_period": self.rm_period,
-            "horizon": self.horizon,
-            "strict_bounds": self.strict_bounds,
-            "sample_stride": self.sample_stride,
-            "platform": dataclasses.asdict(self.platform),
-            "apps": [_app_dict(a) for a in self.apps],
-            "events": [_event_dict(e) for e in self.events],
-        }
+        return _plain(self)
 
 
-def _app_dict(a: ApplicationSpec) -> Dict:
-    m: Dict = {"kind": a.model.kind}
-    if a.model.kind == "synthetic":
-        m.update(a=a.model.a, b=a.model.b, deadline=a.model.deadline)
-    elif a.model.kind == "multimedia":
-        m.update(alpha=a.model.alpha, deadline=a.model.deadline)
-    else:
-        m.update(alpha=a.model.alpha)
-    if a.model.beta is not None:
-        m["beta"] = a.model.beta
-    # an unset optional field is left out
-    d = {key: getattr(a, key) for key in _APP
-         if getattr(a, key) is not None}
-    d["model"] = m
-    return d
+def _plain(x):
+    """A parsed value as a config writes it: a tuple as a list, a spec as
+    the keys of its table with unset optional ones left out, and a job
+    model as its kind, the coefficients the kind reads and a given beta."""
+    if isinstance(x, tuple):
+        return [_plain(y) for y in x]
+    keys = (("kind", *x.READS[x.kind], "beta") if isinstance(x, JobModel)
+            else _TABLES.get(type(x)))
+    if keys is None:
+        return x
+    return {key: _plain(value) for key in keys
+            if (value := getattr(x, key)) is not None}
 
 
-def _event_dict(e: MembershipEvent) -> Dict:
-    if e.action == "join":
-        return {"time": e.time, "action": "join", "app": _app_dict(e.spec)}
-    return {"time": e.time, "action": "leave", "app": e.app_id}
+def _build(cls, fields: Dict, path: str):
+    """cls(**fields), naming `path` in a ConfigurationError it raises."""
+    try:
+        return cls(**fields)
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"{path}: {exc}") from exc
 
 
 def _mapping(d, path: str, keys) -> None:
@@ -259,95 +268,113 @@ def _integer(value, where: str) -> int:
     return value
 
 
+def _boolean(value, where: str) -> bool:
+    """true or false; a string or number is refused rather than converted."""
+    if not isinstance(value, bool):
+        raise ConfigurationError(
+            f"{where} must be true or false, got {value!r}")
+    return value
+
+
+def _unit(value, where: str) -> float:
+    """The time-units in one unit of a coeff_unit, tu or ms."""
+    if value not in ("tu", "ms"):
+        raise ConfigurationError(f"{where} must be 'tu' or 'ms'")
+    return MS if value == "ms" else 1.0
+
+
+def _verbatim(value, where: str):
+    """The value as given, for a key whose owner checks it."""
+    return value
+
+
+def _entries(value, where: str, read, key: str) -> Tuple:
+    """A config list, its i-th entry read by `read` as `key[i]`."""
+    if not isinstance(value, list):
+        raise ConfigurationError(f"{where} must be a list")
+    return tuple(read(d, f"{key}[{i}]") for i, d in enumerate(value))
+
+
+def _fields(cls, table: Dict, d, path: str) -> Dict:
+    """The arguments of `cls` that mapping d gives, each key read by its
+    reader in `table`; a field of cls without a default is required."""
+    _mapping(d, path, table)
+    for f in dataclasses.fields(cls):
+        if f.init and f.default is dataclasses.MISSING:
+            _want(d, f.name, path)
+    return {key: read(d[key], f"{path}.{key}")
+            for key, read in table.items() if key in d}
+
+
+def _read(cls, table: Dict, d, path: str):
+    """A `cls` (PlatformSpec or ApplicationSpec) from mapping d."""
+    return _build(cls, _fields(cls, table, d, path), path)
+
+
 def _parse_model(d, path: str) -> JobModel:
-    _mapping(d, path, _MODEL_KEYS)
-    kind = _want(d, "kind", path)
-    unit = d.get("coeff_unit", "tu")
-    if unit not in ("tu", "ms"):
-        raise ConfigurationError(f"{path}.coeff_unit must be 'tu' or 'ms'")
-    scale = MS if unit == "ms" else 1.0
-    coeff = {key: _float(d.get(key, 0.0), f"{path}.{key}") * scale
-             for key in ("deadline", "alpha", "a", "b")}
-    beta = _optional_float(d.get("beta"), f"{path}.beta")
-    try:
-        return JobModel(kind=kind, beta=beta, **coeff)
-    except ConfigurationError as exc:
-        raise ConfigurationError(f"{path}: {exc}") from exc
+    fields = _fields(JobModel, _MODEL, d, path)
+    # the unit scales every coefficient but beta, a pure number
+    scale = fields.pop("coeff_unit", 1.0)
+    fields.update({key: x * scale for key, x in fields.items()
+                   if key not in ("kind", "beta")})
+    model = _build(JobModel, fields, path)
+    for key in d:
+        if key not in ("kind", "coeff_unit", "beta", *model.READS[model.kind]):
+            raise ConfigurationError(
+                f"field {path}.{key} is not read by a {model.kind} model")
+    return model
 
 
-# the keys a platform or app mapping may hold, each with its reader; an
-# absent key takes the spec's default, and apps echo in this order
+def _parse_app(d, path: str) -> ApplicationSpec:
+    return _read(ApplicationSpec, _APP, d, path)
+
+
+def _parse_event(d, path: str) -> MembershipEvent:
+    fields = _fields(MembershipEvent, _EVENT, d, path)
+    # a join's app is an apps entry and a leave's an id; the Scenario
+    # refuses any other action
+    action, where = fields["action"], f"{path}.app"
+    if action == "join":
+        fields["spec"] = _parse_app(_want(fields, "app", path), where)
+    elif action == "leave":
+        fields["app_id"] = _string(_want(fields, "app", path), where)
+    fields.pop("app", None)
+    return MembershipEvent(**fields)
+
+
+# The keys each mapping of a config may hold, in the order echo() writes
+# them, each with its reader: a key not listed is refused, a key whose
+# class field has no default is required, and an absent key takes that
+# default. A mapping or list below the top level is named from the root
+# (platform, apps[i], events[i]), a top-level value as scenario.<key>.
 _PLATFORM = {"cores": _integer, "step": _float, "match_tol": _float,
              "max_total_bandwidth": _float}
 _APP = {"id": _string, "weight": _float, "min_service": _float,
         "initial_service": _float, "update_jobs": _integer,
         "model": _parse_model, "max_service": _optional_float,
         "initial_bandwidth": _optional_float}
-# the keys the other mappings of a config may hold
-_TOP_KEYS = ("name", "mode", "rm_period", "horizon", "strict_bounds",
-             "sample_stride", "platform", "apps", "events")
-_MODEL_KEYS = ("kind", "deadline", "alpha", "a", "b", "beta", "coeff_unit")
-_EVENT_KEYS = ("time", "action", "app")
-
-
-def _read(cls, table: Dict, d, path: str):
-    """A `cls` (PlatformSpec or ApplicationSpec) from mapping d, each key
-    read by its reader in `table`."""
-    _mapping(d, path, table)
-    for f in dataclasses.fields(cls):
-        if f.default is dataclasses.MISSING:
-            _want(d, f.name, path)
-    fields = {key: read(d[key], f"{path}.{key}")
-              for key, read in table.items() if key in d}
-    try:
-        return cls(**fields)
-    except ConfigurationError as exc:
-        raise ConfigurationError(f"{path}: {exc}") from exc
-
-
-def _parse_event(d, path: str) -> MembershipEvent:
-    _mapping(d, path, _EVENT_KEYS)
-    action = _want(d, "action", path)
-    t = _float(_want(d, "time", path), f"{path}.time")
-    if action == "join":
-        return MembershipEvent(t, action, spec=_read(
-            ApplicationSpec, _APP, _want(d, "app", path), f"{path}.app"))
-    if action == "leave":
-        return MembershipEvent(t, action, app_id=_string(
-            _want(d, "app", path), f"{path}.app"))
-    return MembershipEvent(t, action)    # the Scenario refuses the action
+# a kind accepts the coefficients JobModel.READS names, and beta
+_MODEL = {"kind": _verbatim, "coeff_unit": _unit, "deadline": _float,
+          "alpha": _float, "a": _float, "b": _float,
+          "beta": _optional_float}
+_EVENT = {"time": _float, "action": _verbatim, "app": _verbatim}
+_TOP = {"name": _string, "mode": _string, "rm_period": _float,
+        "horizon": _float, "strict_bounds": _boolean,
+        "sample_stride": _integer,
+        "platform": lambda d, _: _read(PlatformSpec, _PLATFORM, d,
+                                       "platform"),
+        "apps": lambda d, where: _entries(d, where, _parse_app, "apps"),
+        "events": lambda d, where: _entries(
+            [] if d is None else d, where, _parse_event, "events")}
+_TABLES = {Scenario: _TOP, PlatformSpec: _PLATFORM, ApplicationSpec: _APP,
+           MembershipEvent: _EVENT}
 
 
 def scenario_from_dict(doc: Dict) -> Scenario:
-    _mapping(doc, "scenario", _TOP_KEYS)
-    platform = _read(PlatformSpec, _PLATFORM, doc.get("platform", {}),
-                     "platform")
-    apps_doc = _want(doc, "apps", "scenario")
-    if not isinstance(apps_doc, list):
-        raise ConfigurationError("scenario.apps must be a list")
-    apps = [_read(ApplicationSpec, _APP, a, f"apps[{i}]")
-            for i, a in enumerate(apps_doc)]
-    events_doc = [] if doc.get("events") is None else doc["events"]
-    if not isinstance(events_doc, list):
-        raise ConfigurationError("scenario.events must be a list")
-    events = [_parse_event(e, f"events[{i}]") for i, e in enumerate(events_doc)]
-    strict = doc.get("strict_bounds", False)
-    if not isinstance(strict, bool):
-        raise ConfigurationError(
-            f"scenario.strict_bounds must be true or false, got {strict!r}")
-    return Scenario(
-        platform=platform,
-        apps=tuple(apps),
-        rm_period=_float(_want(doc, "rm_period", "scenario"),
-                         "scenario.rm_period"),
-        horizon=_float(_want(doc, "horizon", "scenario"), "scenario.horizon"),
-        mode=_string(doc.get("mode", "sync"), "scenario.mode"),
-        events=tuple(events),
-        strict_bounds=strict,
-        sample_stride=_integer(doc.get("sample_stride", 1),
-                               "scenario.sample_stride"),
-        name=_string(doc.get("name", "scenario"), "scenario.name"),
-    )
+    _mapping(doc, "scenario", _TOP)
+    # an absent platform takes every PlatformSpec default
+    return Scenario(**_fields(Scenario, _TOP, {"platform": {}, **doc},
+                              "scenario"))
 
 
 def emit(scenario: Scenario) -> str:
@@ -358,58 +385,32 @@ def emit(scenario: Scenario) -> str:
 def _sync5() -> Scenario:
     """Five equally loaded apps with descending weights on one core; the
     manager may hand at most 90% of the core to any app."""
-    weights = (0.9, 0.7, 0.5, 0.3, 0.1)
-    apps = tuple(
-        ApplicationSpec(
-            id=f"app{i + 1}",
-            weight=w,
-            min_service=0.0,
-            initial_service=10.0,
-            update_jobs=1,
-            initial_bandwidth=0.2,
-            model=JobModel(kind="synthetic", a=20.0, b=200.0, deadline=1.0 * MS),
-        )
-        for i, w in enumerate(weights)
-    )
+    model = JobModel(kind="synthetic", a=20.0, b=200.0, deadline=1.0 * MS)
     return Scenario(
         platform=PlatformSpec(cores=1, step=0.05, match_tol=0.05,
                               max_total_bandwidth=0.9),
-        apps=apps,
-        rm_period=1.0 * MS,
-        horizon=5000.0 * MS,
-        mode="sync",
-        name="sync5",
-    )
+        apps=tuple(ApplicationSpec(
+            id=f"app{i + 1}", weight=w, min_service=0.0, initial_service=10.0,
+            update_jobs=1, initial_bandwidth=0.2, model=model)
+            for i, w in enumerate((0.9, 0.7, 0.5, 0.3, 0.1))),
+        rm_period=1.0 * MS, horizon=5000.0 * MS, mode="sync", name="sync5")
 
 
 def _async3() -> Scenario:
     """Three heavily loaded apps, the least weighted one updating ten times
     slower than the manager; compensated asynchronous mode."""
-    weights = (0.1, 0.5, 0.8)
-    cadence = (10, 1, 1)
-    apps = tuple(
-        ApplicationSpec(
-            id=f"app{i + 1}",
-            weight=w,
-            min_service=0.0,
-            max_service=20.0,
-            initial_service=10.0,
-            update_jobs=c,
-            initial_bandwidth=1.0 / 3.0,
-            model=JobModel(kind="synthetic", a=40.0 * MS, b=100.0 * MS,
-                           deadline=10.0 * MS),
-        )
-        for i, (w, c) in enumerate(zip(weights, cadence))
-    )
+    model = JobModel(kind="synthetic", a=40.0 * MS, b=100.0 * MS,
+                     deadline=10.0 * MS)
     return Scenario(
         platform=PlatformSpec(cores=1, step=0.03, match_tol=0.05,
                               max_total_bandwidth=1.0),
-        apps=apps,
-        rm_period=10.0 * MS,
-        horizon=50000.0 * 10.0 * MS,
-        mode="async_compensated",
-        name="async3",
-    )
+        apps=tuple(ApplicationSpec(
+            id=f"app{i + 1}", weight=w, min_service=0.0, max_service=20.0,
+            initial_service=10.0, update_jobs=c, initial_bandwidth=1.0 / 3.0,
+            model=model)
+            for i, (w, c) in enumerate(zip((0.1, 0.5, 0.8), (10, 1, 1)))),
+        rm_period=10.0 * MS, horizon=50000.0 * 10.0 * MS,
+        mode="async_compensated", name="async3")
 
 
 PRESETS = {"sync5": _sync5, "async3": _async3}

@@ -341,9 +341,6 @@ def run_scenario(scenario) -> Trajectory:
     admitted = scenario.admitted
     check_budget(steps, len(admitted))
     table = compile_apps(admitted, platform, scenario.mode)
-    recorded = np.zeros(steps, dtype=bool)
-    recorded[::scenario.sample_stride] = True
-    recorded[-1] = True
     live = np.arange(len(scenario.apps))
     since = np.zeros_like(live)
     s, v = state.services, state.bandwidths
@@ -411,8 +408,9 @@ def run_scenario(scenario) -> Trajectory:
                         f"bandwidth allocation left the feasible set: {why}",
                         step=k0 + i)
             s, v = rec[-1, 0], rec[-1, 1]
-            keep = recorded[k0:k1]
-            blocks.append((instant_time(np.flatnonzero(keep) + k0, period),
-                           ids, rec[:-1][keep]))
+            blocks += [(instant_time(np.arange(ks.start, ks.stop, ks.step),
+                                     period),
+                        ids, rec[ks.start - k0:ks.stop - k0:ks.step])
+                       for ks in scenario.recorded(k0, k1) if ks]
             epochs.append(Epoch(k0, k1, ids, P, stepped))
     return replace(Trajectory.from_records(blocks), epochs=epochs)

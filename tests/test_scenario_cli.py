@@ -15,11 +15,12 @@ from hypothesis import given, settings, strategies as st
 
 from fairband import (ConfigurationError, MembershipEvent, parse_scenario,
                       parse_scenario_text, run_scenario)
-from fairband.core import SUM_TOL
+from fairband.core import SUM_TOL, JobModel
 from fairband.cli import (CSV_HEADER, EXIT_INVARIANT, EXIT_IO, EXIT_OK,
                           EXIT_VALIDATION, _jsonable, main,
                           read_trajectory_csv, write_trajectory_csv)
-from fairband.scenario import MS, emit, scenario_from_dict
+from fairband.scenario import (_APP, _EVENT, _MODEL, _PLATFORM, _TOP, MS,
+                               emit, scenario_from_dict)
 from fairband.simkernel import Trajectory
 from test_kernel import MIXED
 
@@ -208,14 +209,47 @@ apps:
         (lambda d: d.update(sample_stride=True), "scenario.sample_stride"),
         (lambda d: d.update(strict_bounds="no"), "scenario.strict_bounds"),
         (lambda d: d.update(strict_bounds=1), "scenario.strict_bounds"),
+        # a coefficient the model's kind does not read
+        (lambda d: d["apps"][0].update(min_service=1.0, model={
+            "kind": "multimedia", "alpha": 1.0, "deadline": 2.0, "a": 5.0}),
+         "apps[0].model.a"),
+        (lambda d: d["apps"][3].update(min_service=1.0, model={
+            "kind": "control", "alpha": 1.0, "beta": 0.5, "deadline": 9.0}),
+         "apps[3].model.deadline"),
+        (lambda d: d["apps"][1]["model"].update(alpha=3.0),
+         "apps[1].model.alpha"),
+        (lambda d: d.update(events=[{"time": 2000.0, "action": "join",
+                                     "app": {"id": "x", "weight": 0.5,
+                                             "min_service": 1.0,
+                                             "initial_service": 1.0,
+                                             "model": {"kind": "multimedia",
+                                                       "alpha": 1.0,
+                                                       "deadline": 1.0,
+                                                       "b": 7.0}}}]),
+         "events[0].app.model.b"),
+        (lambda d: d["apps"][2]["model"].update(kind="x"),
+         "apps[2].model: unknown job model kind 'x'"),
     ], ids=["top", "platform", "app", "model", "leave", "join", "cores",
             "update_jobs", "stride-2.5", "stride-true", "strict-str",
-            "strict-int"])
+            "strict-int", "multimedia-a", "control-deadline",
+            "synthetic-alpha", "join-b", "unknown-kind"])
     def test_ignored_or_altered_field_rejected(self, edit, path):
         doc = _sync5_doc()
         edit(doc)
         with pytest.raises(ConfigurationError, match=re.escape(path)):
             scenario_from_dict(doc)
+
+    def test_readme_names_every_config_key(self):
+        # the configuration section names every key a config may hold, and
+        # its Job models table lists exactly the coefficients each kind reads
+        section = README.read_text().split("## Configuration format")[1]
+        section = section.split("\n## ")[0]
+        for table in (_TOP, _PLATFORM, _APP, _MODEL, _EVENT):
+            for key in table:
+                assert re.search(rf"(\b{key}:|`{key}`)", section), key
+        rows = dict(re.findall(r"^\| `(\w+)` \| ([^|]*) \|", section, re.M))
+        assert {kind: tuple(re.findall(r"`(\w+)`", keys))
+                for kind, keys in rows.items()} == JobModel.READS
 
     def test_integral_float_count_accepted(self):
         doc = _sync5_doc(sample_stride=2.0)
@@ -785,6 +819,16 @@ apps:
         assert "horizon/rm_period" in err and why in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("verb", ["bounds", "solve"])
+    def test_verb_refuses_an_overflowing_clock(self, tmp_path, capsys, verb):
+        # the scenario counts its instants when it is built, to check its
+        # schedule against the recorded ones
+        cfg = tmp_path / "s.yaml"
+        cfg.write_text(yaml.safe_dump(_sync5_doc(rm_period=1e-300,
+                                                 horizon=1e10)))
+        assert main([verb, str(cfg)]) == EXIT_VALIDATION
+        assert "horizon/rm_period" in capsys.readouterr().err
+
     def test_run_rejects_non_utf8_config(self, tmp_path, capsys):
         cfg = tmp_path / "s.yaml"
         cfg.write_bytes(b"name: x\xff\n" + emit(parse_scenario("sync5"))
@@ -882,6 +926,16 @@ apps:
         assert main(["run", str(cfg), "--out", str(out)]) == EXIT_VALIDATION
         assert "events" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("verb", ["bounds", "solve"])
+    def test_verb_with_no_app_at_any_instant_exits_2(self, tmp_path, capsys,
+                                                     verb):
+        # the schedule is checked when the scenario is built, so the verbs
+        # that never run it refuse it as run does
+        cfg = self._all_leave(tmp_path, 0.0)
+        assert main([verb, str(cfg)]) == EXIT_VALIDATION
+        assert "events: no app is live at any recorded instant" in \
+            capsys.readouterr().err
 
     def test_finals_are_read_at_the_last_instant(self, tmp_path):
         # every app leaves at 1000, so no app is live at 5000, the last
