@@ -7,7 +7,7 @@ from typing import Sequence, Set, Tuple
 
 import numpy as np
 
-from .core import (SUM_TOL, ApplicationSpec, PlatformSpec, SystemState,
+from .core import (SUM_TOL, ZERO, ApplicationSpec, PlatformSpec, SystemState,
                    fairness_vector)
 from .errors import InvariantViolation
 
@@ -47,18 +47,21 @@ def project_bandwidth(raw: np.ndarray, upper: float, out=None
     sums after the clip. A row whose sum is at most 1 + SUM_TOL is the clip
     alone, so it is feasible; only a row above that had its excess removed.
     `out`, when given, is the (bandwidths, mask) pair to write the first two
-    into; either may be None. `raw` must not be one of them.
+    into; either may be None, and a None mask is built only to remove an
+    excess (else None is returned). `raw` must not be one of them.
     """
     v, clipped = (None, None) if out is None else out
-    v = np.maximum(raw, 0.0, out=v)
+    v = np.maximum(raw, ZERO, out=v)
     np.minimum(v, upper, out=v)
-    clipped = np.not_equal(v, raw, out=clipped)
+    if out is None or clipped is not None:
+        clipped = np.not_equal(v, raw, out=clipped)
     total = np.add.reduce(v, axis=-1)
     over = total > 1.0 + SUM_TOL
     # one row's test is a numpy bool; the ufunc reduce over many rows skips
     # ndarray.any's Python wrapper
     if not (np.logical_or.reduce(over, axis=None) if over.ndim else over):
         return v, clipped, total
+    clipped = np.not_equal(v, raw) if clipped is None else clipped
     box = v.copy()
     for row in map(tuple, np.argwhere(over)):
         v[row] = _remove_excess(box[row], total[row] - 1.0, clipped[row])

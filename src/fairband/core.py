@@ -18,6 +18,10 @@ from .errors import ConfigurationError
 SUM_TOL = 1e-12
 # the step kernel keeps update cadences in int64 arrays
 MAX_UPDATE_JOBS = int(np.iinfo(np.int64).max)
+# the kernel's literals as read-only arrays: a ufunc takes an array operand
+# faster than a Python float, with the same bits
+ZERO, ONE = np.array(0.0), np.array(1.0)
+ZERO.flags.writeable = ONE.flags.writeable = False
 
 
 def fairness_vector(matchings, bandwidths, weights, out=None) -> np.ndarray:
@@ -32,9 +36,9 @@ def fairness_vector(matchings, bandwidths, weights, out=None) -> np.ndarray:
     above: b - x equals -x + b exactly, signed zeros included.
     """
     vbar = bandwidths
-    w = np.multiply(weights, np.minimum(matchings, 0.0))
+    w = np.multiply(weights, np.minimum(matchings, ZERO))
     total = np.add.reduce(w, axis=-1, keepdims=True)
-    out = np.subtract(1.0, vbar, out=out)
+    out = np.subtract(ONE, vbar, out=out)
     np.multiply(out, w, out=out)
     np.multiply(vbar, np.subtract(total, w, out=w), out=w)
     return np.subtract(w, out, out=out)
@@ -83,6 +87,11 @@ class JobModel:
                 raise ConfigurationError("synthetic model requires a + b > 0")
             if not (self.deadline > 0.0):
                 raise ConfigurationError("synthetic model requires deadline > 0")
+        # an unread coefficient would be dropped from the echo
+        for key in ("deadline", "alpha", "a", "b"):
+            if key not in self.READS[self.kind] and getattr(self, key) != 0.0:
+                raise ConfigurationError(
+                    f"{key} is not read by a {self.kind} model")
 
     @property
     def effective_beta(self) -> float:

@@ -207,7 +207,8 @@ def _plain(x):
             else _TABLES.get(type(x)))
     if keys is None:
         return x
-    return {key: _plain(value) for key in keys
+    return {key: value if isinstance(value, (str, int, float))
+            else _plain(value) for key in keys
             if (value := getattr(x, key)) is not None}
 
 
@@ -299,9 +300,8 @@ def _fields(cls, table: Dict, d, path: str) -> Dict:
     """The arguments of `cls` that mapping d gives, each key read by its
     reader in `table`; a field of cls without a default is required."""
     _mapping(d, path, table)
-    for f in dataclasses.fields(cls):
-        if f.init and f.default is dataclasses.MISSING:
-            _want(d, f.name, path)
+    for key in _REQUIRED[cls]:
+        _want(d, key, path)
     return {key: read(d[key], f"{path}.{key}")
             for key, read in table.items() if key in d}
 
@@ -317,11 +317,16 @@ def _parse_model(d, path: str) -> JobModel:
     scale = fields.pop("coeff_unit", 1.0)
     fields.update({key: x * scale for key, x in fields.items()
                    if key not in ("kind", "beta")})
-    model = _build(JobModel, fields, path)
+    # JobModel checks the kind and what it reads; the rest is refused here
+    kind = fields["kind"]
+    reads = ("kind", "beta", *(JobModel.READS.get(kind, ())
+                               if isinstance(kind, str) else ()))
+    model = _build(JobModel, {k: fields[k] for k in reads if k in fields},
+                   path)
     for key in d:
-        if key not in ("kind", "coeff_unit", "beta", *model.READS[model.kind]):
+        if key not in ("coeff_unit", *reads):
             raise ConfigurationError(
-                f"field {path}.{key} is not read by a {model.kind} model")
+                f"field {path}.{key} is not read by a {kind} model")
     return model
 
 
@@ -368,6 +373,10 @@ _TOP = {"name": _string, "mode": _string, "rm_period": _float,
             [] if d is None else d, where, _parse_event, "events")}
 _TABLES = {Scenario: _TOP, PlatformSpec: _PLATFORM, ApplicationSpec: _APP,
            MembershipEvent: _EVENT}
+# each class's fields without a default, which its mapping must give
+_REQUIRED = {cls: tuple(f.name for f in dataclasses.fields(cls)
+                        if f.init and f.default is dataclasses.MISSING)
+             for cls in (*_TABLES, JobModel)}
 
 
 def scenario_from_dict(doc: Dict) -> Scenario:

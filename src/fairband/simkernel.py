@@ -17,8 +17,8 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from .adaptation import project_bandwidth
-from .core import (SUM_TOL, ApplicationSpec, JobModel, PlatformSpec,
-                   fairness_vector)
+from .core import (ONE, SUM_TOL, ZERO, ApplicationSpec, JobModel,
+                   PlatformSpec, fairness_vector)
 from .errors import AdmissionError, ConfigurationError, InvariantViolation
 
 
@@ -65,17 +65,20 @@ def check_budget(steps: int, apps: int) -> None:
             f"{MAX_APP_STEPS}: shorten horizon or raise rm_period")
 
 
-def measure(job, service, bandwidth_unnormalized, cold=None, out=None):
+def measure(job, service, bandwidth_unnormalized, cold=None, out=None,
+            timed=None):
     """Run one fluid job per app: returns (deadline, response, matching).
 
     `job` holds the coefficients (c1, c0, d0, d1) of JobModel.coefficients,
     as scalars or arrays whose last axis is the app axis; d1 None means no
-    app's deadline depends on s, so D is d0. Response time is C / v; zero
+    app's deadline depends on s, so D is d0, and d0 None that D in `out`
+    holds d0 already. Response time is C / v; a zero, negative or nan
     bandwidth gives an infinite response and the limiting matching value
     -1. The apps in the `cold` mask, with no job completed yet, read the
     neutral (D, D, 0); None means no app is cold. `out`, when given, is
-    the three arrays of the state's shape to write (D, R, matching) into.
-    Callers run this under np.errstate(**QUIET).
+    the three arrays of the state's shape to write (D, R, matching) into;
+    `timed` is the d1 > 0 mask when the caller has it. Callers run this
+    under np.errstate(**QUIET).
     """
     c1, c0, d0, d1 = job
     s, vu = service, bandwidth_unnormalized
@@ -83,16 +86,21 @@ def measure(job, service, bandwidth_unnormalized, cold=None, out=None):
         shape = np.shape(s)
         out = np.empty(shape), np.empty(shape), np.empty(shape)
     D, R, f = out
-    np.copyto(D, d0)
+    if d0 is not None:
+        np.copyto(D, d0)
     if d1 is not None:
-        np.divide(d1, s, out=D, where=d1 > 0.0)
+        np.divide(d1, s, out=D, where=d1 > ZERO if timed is None else timed)
     # the execution time C sits in f until the matching replaces it
     np.add(np.multiply(c1, s, out=f), c0, out=f)
-    R.fill(np.inf)
-    np.divide(f, vu, out=R, where=vu > 0.0)
+    # every share positive (initial: or none at all) needs no mask
+    if np.minimum.reduce(vu, axis=None, initial=np.inf) > 0.0:
+        np.divide(f, vu, out=R)
+    else:
+        R.fill(np.inf)
+        np.divide(f, vu, out=R, where=vu > ZERO)
     if cold is not None:
         np.copyto(R, D, where=cold)
-    np.subtract(np.divide(D, R, out=f), 1.0, out=f)
+    np.subtract(np.divide(D, R, out=f), ONE, out=f)
     return D, R, f
 
 
@@ -119,7 +127,9 @@ class Coefficients:
 
     None in d1 or gain is the identity (no deadline depends on s; unit
     gain): the kernel skips it, as it skips kappa * v at kappa = 1. Each
-    skip is exact: the result has the bits of d1 = 0, gain = 1.
+    skip is exact: the result has the bits of d1 = 0, gain = 1. None in d0
+    means the deadline row holds it already. eps and upper are held as
+    read-only arrays (see core.ZERO); timed is the d1 > 0 mask, None with d1.
     """
     job: Tuple[np.ndarray, np.ndarray, np.ndarray, Optional[np.ndarray]]
     lam: np.ndarray
@@ -127,9 +137,18 @@ class Coefficients:
     hi: np.ndarray
     cadence: np.ndarray
     gain: Optional[np.ndarray]
-    eps: float
+    eps: np.ndarray
     kappa: int
-    upper: float
+    upper: np.ndarray
+    timed: Optional[np.ndarray] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        d1 = self.job[3]
+        object.__setattr__(self, "timed", None if d1 is None else d1 > ZERO)
+        for name in ("eps", "upper"):
+            x = np.array(getattr(self, name), dtype=float)
+            x.flags.writeable = False
+            object.__setattr__(self, name, x)
 
 
 def compile_apps(specs: Sequence[ApplicationSpec], platform: PlatformSpec,
@@ -225,9 +244,11 @@ def kernel_step(c: Coefficients, here: np.ndarray, there: np.ndarray, *,
     # indexing takes the six views faster than unpacking the array
     s, v, D, R, f, F = (here[0], here[1], here[2], here[3], here[4],
                         here[5])
-    measure(c.job, s, v if c.kappa == 1 else c.kappa * v, cold, (D, R, f))
+    measure(c.job, s, v if c.kappa == 1 else c.kappa * v, cold, (D, R, f),
+            c.timed)
     fairness_vector(f, v, c.lam, out=F)
-    raw = np.multiply(c.eps, F)
+    # the next row's fairness column holds the raw step until it is read
+    raw = np.multiply(c.eps, F, out=there[5])
     total = project_bandwidth(np.add(v, raw, out=raw), c.upper,
                               out=(there[1], clipped))[2]
     service_step(c, s, f, idle=idle, out=there[0])
@@ -373,8 +394,9 @@ def run_scenario(scenario) -> Trajectory:
             # the epoch leaves
             rec = np.empty((k1 - k0 + 1, len(VALUES), len(ids)))
             rec[0, 0], rec[0, 1] = s, v
-            # the kernel writes the apps the bandwidth projection moved here
-            clipped = np.empty(len(ids), dtype=bool)
+            # d0 is each row's deadline until its instant writes d1 / s
+            rec[:, 2] = c.job[2]
+            c = replace(c, job=(*c.job[:2], None, c.job[3]))
             cold = since == k0
             # past the cold start an instant's step depends only on the
             # entering state and on the due masks, which repeat every L
@@ -399,7 +421,7 @@ def run_scenario(scenario) -> Trajectory:
                         break
                     check, refs = i + L, (key, *refs[:1])
                 total = kernel_step(c, rec[i], rec[i + 1], idle=idle,
-                                    cold=cold, clipped=clipped)
+                                    cold=cold)
                 cold = None
                 # rows within the sum limit are the clip alone, in the box
                 if total > limit and (why := platform.breach(rec[i + 1, 1],

@@ -84,8 +84,11 @@ def run_batch(alpha, deadline, lam, s0, v0, s_floor, eps, steps,
             drift = (sums[:-1] - 1.0) * (1.0 + eps[:, 0] * (
                 lam * np.minimum(rec[:m, 4], 0.0)).sum(axis=-1))
             err = np.abs(sums[1:] - 1.0 - drift)
+            # a nan bandwidth counts as moved by the projection (nan !=
+            # nan), but its nan error is kept, not passed over
             ident_err = _fold(ident_err, err.max(
-                axis=-1, where=~clipped[:m].any(axis=-1), initial=0.0))
+                axis=-1, where=~clipped[:m].any(axis=-1) | np.isnan(err),
+                initial=0.0))
 
             min_v = np.minimum(min_v, (v + big).min(axis=(0, 2)))
             max_sum = np.maximum(max_sum, sums[1:].max(axis=0))
@@ -107,7 +110,6 @@ def run_batch(alpha, deadline, lam, s0, v0, s_floor, eps, steps,
 
 
 def _fold(acc: float, per_step: np.ndarray) -> float:
-    """max(acc, x) over the per-step maxima x in step order, as Python's max
-    takes it: a step whose maximum is nan leaves acc as it was."""
-    top = np.fmax.reduce(per_step, initial=-np.inf)
-    return acc if np.isnan(top) else max(acc, float(top))
+    """max(acc, x) over the per-step maxima x; a nan, once met, is kept, so
+    a step whose state is nan fails every check on the statistic."""
+    return float(np.maximum.reduce(per_step, initial=acc))

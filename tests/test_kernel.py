@@ -15,10 +15,11 @@ from hypothesis import given, settings, strategies as st
 
 import fairband.adaptation as adaptation
 import fairband.simkernel as simkernel
-from fairband import (ApplicationSpec, ConfigurationError,
+from fairband import (ApplicationSpec, Coefficients, ConfigurationError,
                       InvariantViolation, JobModel, MembershipEvent,
-                      PlatformSpec, Scenario, compile_apps, kernel_step,
-                      parse_scenario, parse_scenario_text, run_scenario)
+                      PlatformSpec, Scenario, compile_apps, fairness_vector,
+                      kernel_step, parse_scenario, parse_scenario_text,
+                      run_scenario, service_step)
 from fairband.cli import EXIT_OK, main, run_bundle, write_trajectory_csv
 from fairband.core import SUM_TOL
 from fairband.simkernel import QUIET, VALUES, due_mask, gather
@@ -389,6 +390,63 @@ def test_engine_matches_euler_oracle_on_every_job_kind(cores):
                               getattr(oracle, name).view(np.int64)), name
 
 
+# (c1, c0, d0, d1) of a control, a synthetic and a multimedia app
+SELECTION_JOB = tuple(np.array(x) for x in zip(
+    (0.0, 5.0, 0.0, 400.0), (30.0, 200.0, 300.0, 0.0),
+    (200.0, 0.0, 500.0, 0.0)))
+# (services, bandwidths) at the edge of measure's unmasked divide: a share
+# that is +0.0, slightly negative (breach admits -1e-13), nan, or zero
+# beside C = 0 (the multimedia app at s = 0); no app at all, where the
+# divide is unmasked; and an (S, n) block with one row of zeros
+SELECTION = {
+    "zero": ([2.0, 1.0, 3.0], [0.3, 0.0, 0.2]),
+    "negative": ([2.0, 1.0, 3.0], [0.3, -1e-13, 0.2]),
+    "nan": ([2.0, 1.0, 3.0], [0.3, np.nan, 0.2]),
+    "zero-by-zero": ([2.0, 1.0, 0.0], [0.3, 0.2, 0.0]),
+    "empty": ([], []),
+    "zero-row": ([[2.0, 1.0, 3.0]] * 3,
+                 [[0.3, 0.2, 0.1], [0.0, 0.0, 0.0], [0.1, 0.5, 0.2]]),
+}
+
+
+def _masked_measure(job, s, vu, cold):
+    """measure() as where(vu > 0, C / vu, inf) states it."""
+    c1, c0, d0, d1 = job
+    D = np.where(d1 > 0.0, d1 / s, d0)
+    R = np.where(vu > 0.0, (c1 * s + c0) / vu, np.inf)
+    if cold is not None:
+        R = np.where(cold, D, R)
+    return D, R, D / R - 1.0
+
+
+@pytest.mark.parametrize("case", SELECTION)
+def test_response_selection_matches_the_masked_form(case):
+    s, v = (np.array(x, dtype=float) for x in SELECTION[case])
+    n = s.shape[-1]
+    job = tuple(x[:n] for x in SELECTION_JOB)
+    coef = Coefficients(job=job, lam=np.full(n, 0.5), lo=np.zeros(n),
+                        hi=np.full(n, np.inf), cadence=np.ones(n, dtype=int),
+                        gain=None, eps=0.05, kappa=1, upper=1.0)
+    for cold in (None, np.arange(n) == 0):
+        with np.errstate(**QUIET):
+            want = _masked_measure(job, s, v, cold)
+            got = simkernel.measure(job, s, v, cold)
+            rows = np.full((2, len(VALUES), *s.shape), np.nan)
+            rows[0, 0], rows[0, 1] = s, v
+            kernel_step(coef, rows[0], rows[1], idle=False, cold=cold)
+            # the later phases, fed the masked form's matching
+            F = fairness_vector(want[2], v, coef.lam)
+            after = (service_step(coef, s, want[2], idle=False),
+                     adaptation.project_bandwidth(v + coef.eps * F,
+                                                  coef.upper)[0])
+        for name, a, b in zip(("D", "R", "f", "F", "s'", "v'"),
+                              (*got, F, *after),
+                              (*want, rows[0, 5], rows[1, 0], rows[1, 1])):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+        for j, a in enumerate(want):
+            assert a.tobytes() == rows[0, 2 + j].tobytes(), VALUES[2 + j]
+
+
 def test_compiled_identities_match_the_general_form():
     # no control app, unit gain, one core: compile_apps drops d1 and gain,
     # and the kernel skips kappa * v
@@ -433,13 +491,15 @@ def _table_and_live(draw):
     for i in range(draw(st.integers(0, 6))):
         kind = draw(st.sampled_from(("synthetic", "multimedia", "control")))
         x = draw(st.floats(0.1, 10.0))
+        # each kind is given only the coefficients it reads
+        given = {"alpha": x, "a": x, "b": 2.0 * x, "deadline": 100.0 * x,
+                 "beta": x}
         specs.append(ApplicationSpec(
             id=f"t{i}", weight=draw(st.floats(0.01, 1.0)), min_service=1.0,
             initial_service=1.0, update_jobs=draw(st.integers(1, 10)),
             max_service=draw(st.none() | st.floats(1.0, 5.0)),
-            model=JobModel(kind=kind, alpha=x, a=x, b=2.0 * x,
-                           deadline=100.0 * x,
-                           beta=x if kind == "control" else None)))
+            model=JobModel(kind=kind, **{key: given[key]
+                                         for key in JobModel.READS[kind]})))
     live = draw(st.lists(st.integers(0, max(len(specs) - 1, 0)), unique=True,
                          max_size=len(specs)))
     return specs, draw(st.sampled_from(simkernel.MODES)), live

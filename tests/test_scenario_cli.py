@@ -101,6 +101,19 @@ class TestConfigFormat:
         s = dataclasses.replace(base, events=events)
         assert parse_scenario_text(emit(s)) == s
 
+    def test_library_model_with_an_unread_coefficient_rejected(self):
+        # the echo writes only what a kind reads, so a multimedia model
+        # given a = 5 would come back with a = 0 and compare unequal
+        base = parse_scenario("sync5")
+        with pytest.raises(ConfigurationError,
+                           match="a is not read by a multimedia model"):
+            JobModel(kind="multimedia", alpha=1.0, deadline=2.0, a=5.0)
+        app = dataclasses.replace(
+            base.apps[0], min_service=1.0,
+            model=JobModel(kind="multimedia", alpha=1.0, deadline=2.0))
+        s = dataclasses.replace(base, apps=(app, *base.apps[1:]))
+        assert parse_scenario_text(emit(s)) == s
+
     def test_missing_weight_names_field(self):
         text = """
 rm_period: 1.0
