@@ -70,27 +70,23 @@ class InvariantReport:
 
 def sweep_invariants(trajectory: Trajectory,
                      platform: PlatformSpec) -> InvariantReport:
-    """Check the run against the feasibility and starvation guarantees."""
-    v = trajectory.bandwidth
-    times, inv = np.unique(trajectory.time, return_inverse=True)
-    sums = np.bincount(inv, weights=v, minlength=len(times))
+    """Check the run against the feasibility and starvation guarantees,
+    which a nan share or instant sum fails."""
+    v, blocks = trajectory.bandwidth, trajectory.blocks
+    # each row's instant; bincount adds an instant's shares in row order
+    sizes = np.repeat(np.array([b.n for b in blocks], dtype=np.intp),
+                      [b.T for b in blocks])
+    inst = np.repeat(np.arange(len(sizes)), sizes)
+    sums = np.bincount(inst, weights=v, minlength=len(sizes))
     # the instants whose sum, or some share, leaves the feasible set
-    bad = sums > 1.0 + SUM_TOL
-    bad[inv[(v < -SUM_TOL) | (v > platform.upper + SUM_TOL)]] = True
-    feas_at = float(times[bad][0]) if bad.any() else None
-
-    starve_bad = v <= platform.step
-    starve_ok = not starve_bad.any()
-    starve_at = None if starve_ok else float(trajectory.time[starve_bad][0])
-
-    return InvariantReport(
-        feasibility_ok=feas_at is None,
-        starvation_ok=starve_ok,
-        feasibility_violation_at=feas_at,
-        starvation_violation_at=starve_at,
-        max_sum=float(sums.max()) if sums.size else 0.0,
-        min_bandwidth=float(v.min()) if v.size else 0.0,
-    )
+    bad = ~(sums <= 1.0 + SUM_TOL)
+    bad[inst[~((v >= -SUM_TOL) & (v <= platform.upper + SUM_TOL))]] = True
+    # the first row of a bad instant, and the first starved row
+    feas_at, starve_at = (float(trajectory.time[r][0]) if r.any() else None
+                          for r in (bad[inst], ~(v > platform.step)))
+    return InvariantReport(feas_at is None, starve_at is None, feas_at,
+                           starve_at, float(sums.max()) if sums.size else 0.0,
+                           float(v.min()) if v.size else 0.0)
 
 
 def convergence_report(trajectory: Trajectory, goal, tol: float,
@@ -102,28 +98,21 @@ def convergence_report(trajectory: Trajectory, goal, tol: float,
     the goal bandwidth vector in max norm. Returns (settled, settle time,
     final |fairness| per app). The goal is ordered like the apps of every
     recorded instant; unless every instant holds the same ids in the same
-    order, there is no verdict: (False, None, {}).
+    order, that is in one block, there is no verdict: (False, None, {}).
     """
     if not (tol > 0.0):
         raise ConfigurationError("tol must be positive")
     goal = np.asarray(goal, dtype=float)
-    n = goal.shape[0]
-    T, extra = divmod(len(trajectory), n)
-    app, time = trajectory.app, trajectory.time
-    if extra or not ((app.reshape(T, n) == app[:n]).all()
-                     and (time.reshape(T, n) == time[::n, None]).all()):
+    blocks, n = trajectory.blocks, len(goal)
+    if len(blocks) != 1 or blocks[0].n != n:
         return False, None, {}
-    times = time[::n]
-    V = trajectory.bandwidth.reshape(T, n)
-    err = np.max(np.abs(V - goal), axis=1)
-    within = err <= tol
+    T, ids = blocks[0].T, blocks[0].ids
+    err = np.abs(trajectory.bandwidth.reshape(T, n) - goal)
+    within = err.max(axis=1) <= tol
     settled = bool(within[-min(window, T):].all())
-    settle_time: Optional[float] = None
+    # the first instant of the final run within tol, if there is one
     bad = np.flatnonzero(~within)
-    if within.all():
-        settle_time = float(times[0])
-    elif bad[-1] + 1 < T:
-        settle_time = float(times[bad[-1] + 1])
-    residuals = {str(a): abs(float(p)) for a, p in
-                 zip(app[-n:], trajectory.fairness[-n:])}
+    first = bad[-1] + 1 if bad.size else 0
+    settle_time = float(trajectory.time[first * n]) if first < T else None
+    residuals = dict(zip(ids, np.abs(trajectory.fairness[-n:]).tolist()))
     return settled, settle_time, residuals

@@ -100,11 +100,9 @@ def _jsonable(x):
     the output stays strict JSON."""
     if isinstance(x, np.generic):
         x = x.item()
-    if isinstance(x, np.ndarray):
-        return [_jsonable(v) for v in x]
     if isinstance(x, dict):
         return {str(k): _jsonable(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple, set)):
+    if isinstance(x, (np.ndarray, list, tuple, set)):
         return [_jsonable(v) for v in x]
     if isinstance(x, float) and not math.isfinite(x):
         return str(x)
@@ -124,14 +122,14 @@ def run_bundle(scenario: scen.Scenario, out_dir: Path) -> Dict:
         "bounds": dataclasses.asdict(bounds),
         "invariants": dataclasses.asdict(report_obj),
     }
-    # the finals are the rows of the run's last instant, none when no app
-    # is live there
-    mask = traj.time == scenario.last_time
-    final_v = {str(a): float(v) for a, v in zip(traj.app[mask],
-                                                traj.bandwidth[mask])}
+    # the finals are the last block's last instant when that is the run's
+    # last instant, and none when no app is live there
+    last = traj.blocks[-1]
+    ids = last.ids if traj.time[last.hi - 1] == scenario.last_time else ()
+    final = slice(last.hi - len(ids), last.hi)
+    final_v = dict(zip(ids, traj.bandwidth[final].tolist()))
     summary["final_bandwidths"] = final_v
-    summary["final_services"] = {str(a): float(v) for a, v in
-                                 zip(traj.app[mask], traj.service[mask])}
+    summary["final_services"] = dict(zip(ids, traj.service[final].tolist()))
     if len(final_v) == len(scenario.apps):
         settled, settle_time, residuals = analysis.convergence_report(
             traj, shares, tol=0.02)
@@ -174,19 +172,14 @@ def compare_bundles(dir_a: Path, dir_b: Path) -> Dict:
             raise ConfigurationError(
                 f"{summary_path}: unreadable run summary: {exc!r}") from exc
     horizon = float(min(ta.time.max(), tb.time.max()))
+    bound = sum(reference.equivalence_bound(step, ell, n_bar))
     report: Dict = {"horizon": horizon, "fields": {}}
-    lo, hi = reference.equivalence_bound(step, ell, n_bar)
-    bound = lo + hi
-    ok = True
     for fieldname in ("service", "bandwidth"):
-        pa = analysis.interpolate(ta, fieldname)
-        pb = analysis.interpolate(tb, fieldname)
-        per = analysis.sup_deviation_per_app(pa, pb, horizon)
-        report["fields"][fieldname] = per
-        if fieldname == "service":
-            ok = all(v <= bound for v in per.values())
+        report["fields"][fieldname] = analysis.sup_deviation_per_app(
+            *(analysis.interpolate(t, fieldname) for t in (ta, tb)), horizon)
     report["equivalence_bound"] = bound
-    report["within_bound"] = ok
+    report["within_bound"] = all(
+        v <= bound for v in report["fields"]["service"].values())
     return report
 
 
@@ -266,7 +259,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                                                  bounds))
             print(json.dumps(_jsonable(out), indent=2))
             return EXIT_OK
-        if args.verb == "solve":
+        if args.verb == "solve":      # the parser admits no other verb
             s = _load(args)
             point = reference.solve_stationary_point(s.apps, s.platform)
             print(json.dumps(_jsonable({
@@ -276,7 +269,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                 "capped": sorted(point.capped),
             }), indent=2))
             return EXIT_OK
-        raise ConfigurationError(f"unknown verb {args.verb!r}")
     except InvariantViolation as exc:
         print(f"invariant breach: {exc}", file=sys.stderr)
         return EXIT_INVARIANT

@@ -81,7 +81,7 @@ class JobModel:
             if self.beta is None or not (self.beta > 0.0):
                 raise ConfigurationError("control model requires an explicit beta > 0")
         else:
-            if self.a < 0.0 or self.b < 0.0:
+            if not (self.a >= 0.0 and self.b >= 0.0):
                 raise ConfigurationError("synthetic model requires a, b >= 0")
             if self.a == 0.0 and self.b == 0.0:
                 raise ConfigurationError("synthetic model requires a + b > 0")
@@ -145,12 +145,12 @@ class ApplicationSpec:
                         and self.min_service == 0.0))
         if not floor_ok:
             raise ConfigurationError(f"app {self.id}: min_service must be positive")
-        if self.initial_service < self.min_service:
+        if not (self.initial_service >= self.min_service):
             raise ConfigurationError(f"app {self.id}: initial_service below min_service")
         if self.max_service is not None:
-            if self.max_service < self.min_service:
+            if not (self.max_service >= self.min_service):
                 raise ConfigurationError(f"app {self.id}: max_service below min_service")
-            if self.initial_service > self.max_service:
+            if not (self.initial_service <= self.max_service):
                 raise ConfigurationError(f"app {self.id}: initial_service above max_service")
         if not (1 <= self.update_jobs <= MAX_UPDATE_JOBS):
             raise ConfigurationError(

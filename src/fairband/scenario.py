@@ -92,12 +92,10 @@ class Scenario:
         if self.mode not in ALL_MODES:
             raise ConfigurationError(
                 f"mode must be one of {', '.join(ALL_MODES)}, got {self.mode!r}")
-        if not (0.0 < self.rm_period < math.inf):
-            raise ConfigurationError(
-                f"rm_period must be positive and finite, got {self.rm_period}")
-        if not (0.0 < self.horizon < math.inf):
-            raise ConfigurationError(
-                f"horizon must be positive and finite, got {self.horizon}")
+        for key in ("rm_period", "horizon"):
+            if not (0.0 < (x := getattr(self, key)) < math.inf):
+                raise ConfigurationError(
+                    f"{key} must be positive and finite, got {x}")
         if self.sample_stride < 1:
             raise ConfigurationError("sample_stride must be >= 1")
         # the Euler oracle records every instant of a fixed app set

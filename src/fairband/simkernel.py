@@ -199,9 +199,8 @@ def service_step(c: Coefficients, services: np.ndarray,
                  matchings: np.ndarray, *, idle, out=None) -> np.ndarray:
     """The service recursion: s + eps * gain * f, projected, for every app
     but those in the `idle` mask (the apps not due at this instant), which
-    keep their service. `idle` is keyword-only because it is the inverse
-    of the due mask this argument once took. The result is written into
-    `out` when given; it must not be `services`."""
+    keep their service. The result is written into `out` when given; it
+    must not be `services`."""
     s, f = services, matchings
     out = np.multiply(c.eps, f if c.gain is None else c.gain * f,
                       out=np.empty(np.shape(s)) if out is None else out)
@@ -269,6 +268,11 @@ class Epoch(NamedTuple):
     steps: int                      # kernel_step calls
 
 
+# rows lo <= r < hi of a Trajectory: T instants, each the n rows of `ids`
+Block = NamedTuple("Block", [("lo", int), ("hi", int),
+                             ("ids", Tuple[str, ...]), ("T", int), ("n", int)])
+
+
 @dataclass
 class Trajectory:
     """Columnar record of a run: one row per (manager instant, live app)."""
@@ -288,18 +292,36 @@ class Trajectory:
         return len(self.time)
 
     @cached_property
+    def blocks(self) -> List[Block]:
+        """The rows cut, once, into maximal runs of instants that hold the
+        same ids in the same order; an instant is a run of equal times."""
+        if not len(self):
+            return []
+        t, app = self.time, self.app
+        heads = np.flatnonzero(np.r_[True, t[1:] != t[:-1], True])
+        n = np.diff(heads)
+        # a block starts where an instant's size, or the id at some place
+        # in it, differs from the previous instant's
+        prev = app[np.arange(len(app)) - np.repeat(np.r_[0, n[:-1]], n)]
+        new = np.logical_or.reduceat(prev != app, heads[:-1])
+        new[1:] |= n[1:] != n[:-1]
+        cut = np.flatnonzero(np.r_[True, new[1:], True])
+        rows = heads[cut].tolist()
+        return [Block(lo, hi, tuple(app[lo:lo + m]), (hi - lo) // m, m)
+                for lo, hi, m in zip(rows, rows[1:], n[cut[:-1]].tolist())]
+
+    @cached_property
     def _groups(self) -> Tuple[List[str], np.ndarray, np.ndarray]:
-        """Rows grouped by app in one pass over the app column: the ids in
-        first-appearance order, a row order that lists each app's rows
-        together (the stable sort keeps their row order, which is time
-        order) and the end of each app's block in that order. The columns
-        are not reassigned after construction, so this is computed once."""
+        """Rows grouped by app: the ids in first-appearance order, a stable
+        row order that lists each app's rows together, and the end of each
+        app's run in it. A block's rows take its ids' codes, tiled."""
         index: Dict[str, int] = {}
-        codes = np.fromiter((index.setdefault(a, len(index)) for a in self.app),
-                            dtype=np.intp, count=len(self.app))
-        order = np.argsort(codes, kind="stable")
+        codes = np.empty(len(self), dtype=np.intp)
+        for b in self.blocks:
+            codes[b.lo:b.hi].reshape(b.T, b.n)[:] = [
+                index.setdefault(a, len(index)) for a in b.ids]
         ends = np.cumsum(np.bincount(codes, minlength=len(index)))
-        return [str(a) for a in index], order, ends
+        return list(index), np.argsort(codes, kind="stable"), ends
 
     @classmethod
     def from_records(cls, blocks) -> "Trajectory":
@@ -328,11 +350,9 @@ class Trajectory:
         """Split a column into per-app (times, values) pairs in row order; an
         app that leaves and re-joins keeps one series."""
         ids, order, ends = self._groups
-        times = self.time[order]
-        values = getattr(self, fieldname)[order]
-        starts = np.concatenate(([0], ends[:-1]))
+        times, values = self.time[order], getattr(self, fieldname)[order]
         return {aid: (times[a:b], values[a:b])
-                for aid, a, b in zip(ids, starts, ends)}
+                for aid, a, b in zip(ids, np.r_[0, ends[:-1]], ends)}
 
 
 def run_scenario(scenario) -> Trajectory:

@@ -228,6 +228,18 @@ class TestSweepInvariants:
         assert not rep.starvation_ok
         assert rep.starvation_violation_at == 1.0
 
+    def test_nan_share_flagged(self):
+        # the nan share makes its instant's sum nan too
+        traj = _fake_trajectory(
+            [0.0, 1.0, 2.0],
+            [{"a0": 0.5, "a1": 0.4}, {"a0": math.nan, "a1": 0.4},
+             {"a0": 0.5, "a1": 0.4}])
+        rep = sweep_invariants(traj, PlatformSpec(step=0.01))
+        assert not rep.feasibility_ok and not rep.starvation_ok
+        assert rep.feasibility_violation_at == 1.0
+        assert rep.starvation_violation_at == 1.0
+        assert math.isnan(rep.max_sum) and math.isnan(rep.min_bandwidth)
+
     def test_matches_brute_force_recheck(self):
         rng = np.random.default_rng(4)
         platform = PlatformSpec(step=0.05)

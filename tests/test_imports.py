@@ -1,4 +1,4 @@
-"""Every name a fairband module or test module imports is used in it."""
+"""Every name a fairband, test or bench module imports is used in it."""
 
 import ast
 from pathlib import Path
@@ -7,9 +7,10 @@ import pytest
 
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "fairband"
+BENCH = TESTS.parent / "bench"
 # the package's __init__ imports names to re-export them
 MODULES = (sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
-           + sorted(TESTS.glob("*.py")))
+           + sorted(TESTS.glob("*.py")) + sorted(BENCH.glob("*.py")))
 
 
 def _unused_imports(source: str):

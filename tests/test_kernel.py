@@ -8,6 +8,7 @@ order moves them.
 
 import dataclasses
 import hashlib
+import itertools
 
 import numpy as np
 import pytest
@@ -20,9 +21,11 @@ from fairband import (ApplicationSpec, Coefficients, ConfigurationError,
                       PlatformSpec, Scenario, compile_apps, fairness_vector,
                       kernel_step, parse_scenario, parse_scenario_text,
                       run_scenario, service_step)
-from fairband.cli import EXIT_OK, main, run_bundle, write_trajectory_csv
+from fairband.cli import (EXIT_OK, main, read_trajectory_csv, run_bundle,
+                          write_trajectory_csv)
 from fairband.core import SUM_TOL
-from fairband.simkernel import QUIET, VALUES, due_mask, gather
+from fairband.simkernel import (QUIET, VALUES, Block, Trajectory, due_mask,
+                                gather, instant_time)
 
 COLUMNS = ("time",) + VALUES
 
@@ -130,6 +133,27 @@ def _churn(mode):
                     events=tuple(events), name="churn")
 
 
+def _wide():
+    """300 apps cycling the three job kinds, in sync, over 30 instants: an
+    instant sum adds 300 shares, so the order of the addition shows in its
+    last bits."""
+    kinds = ("synthetic", "multimedia", "control")
+    return Scenario(platform=PlatformSpec(step=0.001),
+                    apps=tuple(_churn_app(i, kinds[i % 3], 1)
+                               for i in range(300)),
+                    rm_period=1.0, horizon=29.0, name="wide")
+
+
+def _rejoin_last():
+    """async3 where the last app leaves and re-joins at one instant: a new
+    epoch over the same id tuple."""
+    s = _short("async3")
+    back = dataclasses.replace(s.apps[-1], initial_bandwidth=None)
+    return dataclasses.replace(s, events=(
+        MembershipEvent(200 * s.rm_period, "leave", app_id=back.id),
+        MembershipEvent(200 * s.rm_period, "join", spec=back)))
+
+
 # the schedule's corner cases: an event before time 0 (listed last, applied
 # at instant 0); a join listed before a leave at one instant, so the seed
 # is what the leaver leaves unused (0.0082), not the step; a leave and a
@@ -209,6 +233,11 @@ PINNED = {
     # recorded while run_scenario still walked the events itself
     "schedule": (lambda: parse_scenario_text(SCHEDULE),
         "ed26067a79bfdcbfee02fc8bc8068a6c27ab33c3862a3759fd33cc9839a4844c"),
+    # recorded while the readers regrouped the flat row table themselves
+    "wide": (_wide,
+        "02af5bca5619d5351b38ec8772a08d05dae6f4b07344845797c2f8dccf5cbc83"),
+    "rejoin-last": (_rejoin_last,
+        "f36c89b8664f61684325e452f17248183f560c188474269096e13bcc22bd6d31"),
 }
 
 
@@ -221,12 +250,18 @@ def test_trajectory_digest_pinned(name, tmp_path):
 
 
 # summary.json as run_bundle writes it: the invariant sweep, bounds,
-# final values and the convergence verdict of three pinned runs
+# final values and the convergence verdict of five pinned runs. wide's
+# max_sum pins that each instant's shares are added in row order (a
+# pairwise sum moves it); rejoin-last's verdict, that two epochs over one
+# id tuple are read as one
 SUMMARY_PINNED = {
     "sync5": "c4908668bd2ef30c35416faab2f2ae6eee395322024b7ce29f673062f379619d",
     "async3-5e7-compensated":
         "3c56392e3d5df9facd618b8e6fb1754d95a5b3a99ba8cd38687b7b083123084c",
     "mixed": "05f6cc94cf5f23a869048e90c6625c3ca3a95dc2b9e632ccd95961915d0bf711",
+    "wide": "1078adc17c360f904a4a913020bda2d782377871013d54a64b6586afc6165856",
+    "rejoin-last":
+        "12ac742eac7f38e5d6b1970eb3b97f857add44fc700e41bdb74c69192f5c4f11",
 }
 
 
@@ -547,6 +582,59 @@ def test_epoch_record_counts_steps_and_names_apps(name, monkeypatch):
         [np.tile(np.array(e.ids, dtype=object), e.k1 - e.k0)
          for e in epochs]))
     assert "epochs" not in repr(traj)
+
+
+def _blocks_by_loop(traj):
+    """Trajectory.blocks one instant at a time: each run of rows of equal
+    time joins the block before when it holds the same ids in that order."""
+    blocks, lo = [], 0
+    for _, rows in itertools.groupby(traj.time.tolist()):
+        hi = lo + len(list(rows))
+        ids = tuple(traj.app[lo:hi])
+        if blocks and blocks[-1].ids == ids:
+            blocks[-1] = blocks[-1]._replace(hi=hi, T=blocks[-1].T + 1)
+        else:
+            blocks.append(Block(lo, hi, ids, 1, hi - lo))
+        lo = hi
+    return blocks
+
+
+@pytest.mark.parametrize("stride", [1, 3])
+@pytest.mark.parametrize("name", ["churn-compensated", "churn-uncompensated",
+                                  "schedule", "mixed"])
+def test_blocks_start_at_epochs_and_survive_the_csv(name, stride, tmp_path):
+    s = dataclasses.replace(PINNED[name][0](), sample_stride=stride)
+    traj = run_scenario(s)
+    path = tmp_path / "trajectory.csv"
+    write_trajectory_csv(traj, path)
+    blocks = traj.blocks
+    assert blocks == _blocks_by_loop(traj)
+    assert read_trajectory_csv(path).blocks == blocks
+    # each block starts at the first recorded instant of an epoch over its
+    # ids; an epoch over the ids of the one before need not start a block
+    firsts = {float(instant_time(next(k for ks in s.recorded(e.k0, e.k1)
+                                      for k in ks), s.rm_period)): e.ids
+              for e in traj.epochs if any(s.recorded(e.k0, e.k1))}
+    assert [firsts[traj.time[b.lo]] for b in blocks] == [b.ids for b in blocks]
+
+
+def test_app_major_rows_cut_into_one_block_per_app():
+    traj = run_scenario(_mixed())
+    ids = list(dict.fromkeys(traj.app))
+    order = np.argsort([ids.index(a) for a in traj.app], kind="stable")
+    by_app = Trajectory(**{name: getattr(traj, name)[order]
+                           for name in ("time", "app") + VALUES})
+    assert by_app.blocks == _blocks_by_loop(by_app)
+    assert [(b.ids, b.T) for b in by_app.blocks] \
+        == [((a,), int((traj.app == a).sum())) for a in ids]
+    for aid, (t, v) in traj.per_app("service").items():
+        got = by_app.per_app("service")[aid]
+        assert np.array_equal(got[0], t) and np.array_equal(got[1], v)
+
+
+def test_rejoin_of_the_last_app_keeps_one_block():
+    traj = run_scenario(_rejoin_last())
+    assert len(traj.epochs) == 2 and len(traj.blocks) == 1
 
 
 def test_batched_rows_match_single_runs():

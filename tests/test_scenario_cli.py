@@ -202,6 +202,28 @@ apps:
         with pytest.raises(ConfigurationError, match=key):
             parse_scenario_text(text)
 
+    # each check is a comparison, written so that a nan fails it; model.b
+    # is nan-checked by the floor only where min_service is 0
+    @pytest.mark.parametrize("edit", [
+        lambda app: app.update(initial_service=math.nan),
+        lambda app: app.update(max_service=math.nan),
+        lambda app: app["model"].update(a=math.nan),
+        lambda app: app.update(min_service=1.0, model=dict(app["model"],
+                                                           b=math.nan)),
+    ], ids=["initial_service", "max_service", "model.a", "model.b"])
+    def test_nan_app_field_rejected(self, edit, tmp_path, capsys):
+        doc = _sync5_doc(horizon=20000.0)
+        edit(doc["apps"][1])
+        cfg = tmp_path / "nan.yaml"
+        cfg.write_text(yaml.safe_dump(doc))
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) \
+            == EXIT_VALIDATION
+        assert "apps[1]" in capsys.readouterr().err
+        doc = _sync5_doc(events=[{"time": 2000.0, "action": "join",
+                                  "app": dict(doc["apps"][1], id="x")}])
+        with pytest.raises(ConfigurationError, match=r"events\[0\]\.app"):
+            scenario_from_dict(doc)
+
     @pytest.mark.parametrize("edit, path", [
         (lambda d: d.update(speed=1), "scenario.speed"),
         (lambda d: d["platform"].update(steps=0.1), "platform.steps"),
