@@ -7,8 +7,8 @@ simulation kernel, reference oracles for the limiting dynamics, and
 checkers for every derived guarantee.
 """
 
-from .core import (ApplicationSpec, JobModel, PlatformSpec, SystemState,
-                   fairness_vector, make_state)
+from .core import (ApplicationSpec, JobModel, PlatformSpec, fairness_vector,
+                   make_state)
 from .adaptation import RmUpdateResult, rm_step
 from .simkernel import (Coefficients, Trajectory, compile_apps, kernel_step,
                         measure_job, run_scenario, service_step)

@@ -7,7 +7,7 @@ from typing import Sequence, Set, Tuple
 
 import numpy as np
 
-from .core import (SUM_TOL, ZERO, ApplicationSpec, PlatformSpec, SystemState,
+from .core import (SUM_TOL, ZERO, ApplicationSpec, PlatformSpec,
                    fairness_vector)
 from .errors import InvariantViolation
 
@@ -69,7 +69,7 @@ def project_bandwidth(raw: np.ndarray, upper: float, out=None
     return v, clipped, total
 
 
-def rm_step(state: SystemState,
+def rm_step(state: Tuple[np.ndarray, np.ndarray],
             matchings: Sequence[float],
             specs: Sequence[ApplicationSpec],
             platform: PlatformSpec) -> RmUpdateResult:
@@ -79,7 +79,7 @@ def rm_step(state: SystemState,
     [0, platform.upper], with any sum above 1 removed (see
     project_bandwidth).
     """
-    vbar = state.bandwidths
+    _, vbar = state
     if why := platform.breach(vbar, [a.id for a in specs]):
         raise InvariantViolation(
             f"input state is not a feasible allocation: {why}")

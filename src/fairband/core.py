@@ -52,9 +52,9 @@ class JobModel:
       multimedia — execution time alpha*s, fixed deadline
       control    — fixed execution time alpha/beta, deadline alpha/s
       synthetic  — execution time a*s + b, fixed deadline
-    beta is the coefficient of the nominal matching form beta*v/s - 1; when
-    omitted it is derived (deadline/alpha for multimedia, deadline/a for
-    synthetic), for control it must be given.
+    beta is the coefficient of the nominal matching form beta*v/s - 1 and
+    must be positive; when omitted it is derived (deadline/alpha for
+    multimedia, deadline/a for synthetic), for control it must be given.
     """
     kind: str
     deadline: float = 0.0
@@ -78,7 +78,7 @@ class JobModel:
         elif self.kind == "control":
             if not (self.alpha > 0.0):
                 raise ConfigurationError("control model requires alpha > 0")
-            if self.beta is None or not (self.beta > 0.0):
+            if self.beta is None:
                 raise ConfigurationError("control model requires an explicit beta > 0")
         else:
             if not (self.a >= 0.0 and self.b >= 0.0):
@@ -87,6 +87,9 @@ class JobModel:
                 raise ConfigurationError("synthetic model requires a + b > 0")
             if not (self.deadline > 0.0):
                 raise ConfigurationError("synthetic model requires deadline > 0")
+        # a given beta scales the nominal matching form of any kind
+        if self.beta is not None and not (self.beta > 0.0):
+            raise ConfigurationError(f"{self.kind} model requires beta > 0")
         # an unread coefficient would be dropped from the echo
         for key in ("deadline", "alpha", "a", "b"):
             if key not in self.READS[self.kind] and getattr(self, key) != 0.0:
@@ -189,34 +192,17 @@ class PlatformSpec:
         at most 1, to within SUM_TOL; otherwise the first app outside the
         box (named from `ids`) with its value, else the sum."""
         v = np.asarray(bandwidths, dtype=float)
-        for i in np.flatnonzero((v < -SUM_TOL) | (v > self.upper + SUM_TOL)):
+        # negated tests, so that a nan share or sum fails them
+        for i in np.flatnonzero(~((v >= -SUM_TOL)
+                                  & (v <= self.upper + SUM_TOL))):
             return f"app {ids[i]} has {v[i]}, outside [0, {self.upper}]"
-        if v.sum() > 1.0 + SUM_TOL:
+        if not (v.sum() <= 1.0 + SUM_TOL):
             return f"the sum is {v.sum()}, above 1"
         return None
 
 
-@dataclass(frozen=True)
-class SystemState:
-    """Live (services, normalized bandwidths, unused bandwidth) triple."""
-    services: np.ndarray
-    bandwidths: np.ndarray
-    unused: float
-
-    def __post_init__(self):
-        s = np.asarray(self.services, dtype=float)
-        v = np.asarray(self.bandwidths, dtype=float)
-        object.__setattr__(self, "services", s)
-        object.__setattr__(self, "bandwidths", v)
-        if s.shape != v.shape:
-            raise ConfigurationError("services and bandwidths must have equal length")
-        if abs(v.sum() + self.unused - 1.0) > SUM_TOL:
-            raise ConfigurationError(
-                f"bandwidth accounting broken: sum {v.sum()!r} + unused {self.unused!r} != 1")
-
-
-def make_state(services, bandwidths) -> SystemState:
-    """Build a SystemState, deriving unused bandwidth as 1 - sum(vbar)."""
-    v = np.asarray(bandwidths, dtype=float)
-    return SystemState(np.asarray(services, dtype=float), v, 1.0 - float(v.sum()))
-
+def make_state(services, bandwidths) -> Tuple[np.ndarray, np.ndarray]:
+    """A state, the (services, normalized bandwidths) pair, as float arrays;
+    the bench replays it into adaptation.rm_step."""
+    return (np.asarray(services, dtype=float),
+            np.asarray(bandwidths, dtype=float))

@@ -9,8 +9,7 @@ from typing import Sequence, Set, Tuple
 import numpy as np
 
 from .adaptation import project_bandwidth
-from .core import (SUM_TOL, ApplicationSpec, PlatformSpec, SystemState,
-                   fairness_vector)
+from .core import SUM_TOL, ApplicationSpec, PlatformSpec, fairness_vector
 from .errors import ConfigurationError, ConvergenceError
 from .simkernel import (QUIET, VALUES, Trajectory, check_budget,
                         compile_apps, instant_time, instants,
@@ -200,9 +199,10 @@ def equivalence_bound(step: float, ell: float,
     return step * ell * (3 * n_bar - 1), step * n_bar * ell
 
 
-def integrate_ode(initial: SystemState, specs: Sequence[ApplicationSpec],
-                  platform: PlatformSpec, tau_step: float, horizon: float,
-                  rm_period: float) -> Trajectory:
+def integrate_ode(initial: Tuple[np.ndarray, np.ndarray],
+                  specs: Sequence[ApplicationSpec], platform: PlatformSpec,
+                  tau_step: float, horizon: float, rm_period: float
+                  ) -> Trajectory:
     """Projected explicit Euler on the coupled field (service rate, fairness).
 
     The field is evaluated through the job model, so with tau_step equal to
@@ -218,8 +218,7 @@ def integrate_ode(initial: SystemState, specs: Sequence[ApplicationSpec],
     c = compile_apps(specs, platform, "sync")
     c1, c0, d0, d1 = c.job
     kappa = platform.cores
-    s = initial.services.copy()
-    v = initial.bandwidths.copy()
+    s, v = (np.array(x, dtype=float) for x in initial)
     rec = np.empty((steps, len(VALUES), len(specs)))
     with np.errstate(**QUIET):
         for k in range(steps):

@@ -14,8 +14,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 import yaml
 
-from .core import (ApplicationSpec, JobModel, PlatformSpec, SystemState,
-                   make_state)
+from .core import ApplicationSpec, JobModel, PlatformSpec
 from .errors import ConfigurationError
 from .simkernel import MODES, instant_time, instants
 
@@ -153,6 +152,8 @@ class Scenario:
                 "records no rows")
         object.__setattr__(self, "admitted", tuple(admitted))
         object.__setattr__(self, "schedule", schedule)
+        # so every verb refuses an allocation the platform does not admit
+        self.initial_state()
 
     @property
     def steps(self) -> int:
@@ -171,7 +172,7 @@ class Scenario:
         return (range(k0 + -k0 % m, min(k1, last), m),
                 range(max(k0, last), min(k1, last + 1)))
 
-    def initial_state(self) -> SystemState:
+    def initial_state(self) -> Tuple[np.ndarray, np.ndarray]:
         """Starting (services, bandwidths); apps without an explicit initial
         bandwidth share the remainder equally, up to the per-app cap.
         Refuses an allocation the platform does not admit."""
@@ -188,7 +189,7 @@ class Scenario:
                 f"initial_bandwidth: {why}; the cap comes from platform."
                 f"max_total_bandwidth {p.max_total_bandwidth} and "
                 f"platform.cores {p.cores}")
-        return make_state(s, v)
+        return s, v
 
     def echo(self) -> Dict:
         """Plain-dict form of the scenario; emit() serializes exactly this."""

@@ -373,10 +373,10 @@ def run_scenario(scenario) -> Trajectory:
             raise ConfigurationError(
                 f"strict mode: step {platform.step} not below the starvation "
                 f"guard {guard}")
-    state = scenario.initial_state()
+    s, v = scenario.initial_state()
     if scenario.mode == "ode_reference":
         from .reference import integrate_ode
-        return integrate_ode(state, scenario.apps, platform, platform.step,
+        return integrate_ode((s, v), scenario.apps, platform, platform.step,
                              scenario.horizon, rm_period=scenario.rm_period)
     period, steps = scenario.rm_period, scenario.steps
     admitted = scenario.admitted
@@ -384,7 +384,6 @@ def run_scenario(scenario) -> Trajectory:
     table = compile_apps(admitted, platform, scenario.mode)
     live = np.arange(len(scenario.apps))
     since = np.zeros_like(live)
-    s, v = state.services, state.bandwidths
     edges = sorted({0, steps, *(k for k in scenario.schedule if k < steps)})
     blocks, epochs = [], []
     limit = 1.0 + SUM_TOL

@@ -80,15 +80,16 @@ class TestFeasibility:
             == "app b has 0.6, outside [0, 0.5]"
 
 
-class TestTypes:
-    def test_state_accounting_enforced(self):
-        from fairband.core import SystemState
-        with pytest.raises(ConfigurationError):
-            SystemState(np.array([1.0]), np.array([0.4]), 0.7)
+    def test_nan_rejected(self):
+        # a nan share fails the box test, as it fails every comparison
+        assert self._breach([np.nan, 0.1]) == "app a has nan, outside [0, 1.0]"
 
+
+class TestTypes:
     def test_make_state_balances(self):
-        st_ = make_state([1.0, 2.0], [0.3, 0.3])
-        assert st_.unused == pytest.approx(0.4, abs=1e-15)
+        s, v = make_state([1, 2], [0.3, 0.3])
+        assert s.dtype == v.dtype == np.float64
+        assert s.tolist() == [1.0, 2.0] and v.tolist() == [0.3, 0.3]
 
     def test_platform_cores_range(self):
         # the per-app cap max_total_bandwidth / cores needs cores as a float
@@ -106,6 +107,18 @@ class TestTypes:
             JobModel(kind="control", alpha=1.0)  # beta required
         with pytest.raises(ConfigurationError):
             JobModel(kind="synthetic", a=0.0, b=0.0, deadline=1.0)
+
+    # a given beta must be positive on every kind; a nan fails the test too
+    @pytest.mark.parametrize("beta", [-2.0, 0.0, np.nan])
+    @pytest.mark.parametrize("kind, coefficients", [
+        ("synthetic", dict(a=20.0, b=200.0, deadline=1000.0)),
+        ("multimedia", dict(alpha=200.0, deadline=1000.0)),
+        ("control", dict(alpha=200.0)),
+    ], ids=["synthetic", "multimedia", "control"])
+    def test_beta_must_be_positive(self, kind, coefficients, beta):
+        with pytest.raises(ConfigurationError,
+                           match=f"{kind} model requires .*beta > 0"):
+            JobModel(kind=kind, beta=beta, **coefficients)
 
     def test_effective_beta(self):
         assert JobModel(kind="multimedia", alpha=4.0, deadline=2.0).effective_beta == 0.5

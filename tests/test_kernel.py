@@ -646,9 +646,9 @@ def test_batched_rows_match_single_runs():
                                    step=eps)) for eps in steps]
     coef = dataclasses.replace(compile_apps(base.apps, base.platform, base.mode),
                                eps=np.array(steps)[:, None])
-    state = base.initial_state()
-    s = np.tile(state.services, (len(steps), 1))
-    v = np.tile(state.bandwidths, (len(steps), 1))
+    s0, v0 = base.initial_state()
+    s = np.tile(s0, (len(steps), 1))
+    v = np.tile(v0, (len(steps), 1))
     n = len(base.apps)
     idle = ~due_mask(coef, np.zeros(n, dtype=int), 0, base.steps)
     # the batch's epoch record, one extra row for the state it leaves

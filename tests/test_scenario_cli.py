@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from fairband import (ConfigurationError, MembershipEvent, parse_scenario,
                       parse_scenario_text, run_scenario)
-from fairband.core import SUM_TOL, JobModel
+from fairband.core import SUM_TOL, JobModel, PlatformSpec
 from fairband.cli import (CSV_HEADER, EXIT_INVARIANT, EXIT_IO, EXIT_OK,
                           EXIT_VALIDATION, _jsonable, main,
                           read_trajectory_csv, write_trajectory_csv)
@@ -224,6 +224,26 @@ apps:
         with pytest.raises(ConfigurationError, match=r"events\[0\]\.app"):
             scenario_from_dict(doc)
 
+    # a given beta must be positive on every kind, so solve prints no
+    # negative share
+    @pytest.mark.parametrize("beta", [-2.0, 0.0, math.nan])
+    @pytest.mark.parametrize("model", [
+        {"kind": "synthetic", "a": 20.0, "b": 200.0, "deadline": 1000.0},
+        {"kind": "multimedia", "alpha": 200.0, "deadline": 1000.0},
+        {"kind": "control", "alpha": 200.0},
+    ], ids=lambda m: m["kind"])
+    def test_solve_refuses_a_non_positive_beta(self, tmp_path, capsys, model,
+                                               beta):
+        doc = _sync5_doc()
+        for app in doc["apps"]:
+            app["min_service"] = 1.0
+        doc["apps"][1]["model"] = dict(model, beta=beta)
+        cfg = tmp_path / "s.yaml"
+        cfg.write_text(yaml.safe_dump(doc))
+        assert main(["solve", str(cfg)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "apps[1].model" in err and "beta > 0" in err
+
     @pytest.mark.parametrize("edit, path", [
         (lambda d: d.update(speed=1), "scenario.speed"),
         (lambda d: d["platform"].update(steps=0.1), "platform.steps"),
@@ -299,7 +319,8 @@ apps:
         base = parse_scenario("sync5")
         many = dataclasses.replace(base, apps=tuple(
             dataclasses.replace(base.apps[i % 5], id=f"app{i}",
-                                weight=0.05 + 0.9 * i / 300)
+                                weight=0.05 + 0.9 * i / 300,
+                                initial_bandwidth=None)
             for i in range(300)))
         for s in (parse_scenario("sync5"), parse_scenario("async3"), many):
             text = emit(s)
@@ -572,6 +593,30 @@ apps:
         cfg.write_text(yaml.safe_dump(_sync5_doc(events=[event])))
         assert main([verb, str(cfg)]) == EXIT_VALIDATION
         assert field in capsys.readouterr().err
+
+    # so is the initial allocation: sync5's five shares of 0.3 sum to 1.5
+    @pytest.mark.parametrize("verb", ["bounds", "solve"])
+    def test_verbs_refuse_an_infeasible_initial_allocation(self, tmp_path,
+                                                           capsys, verb):
+        doc = _sync5_doc()
+        for app in doc["apps"]:
+            app.update(min_service=1.0, initial_bandwidth=0.3)
+        cfg = tmp_path / "s.yaml"
+        cfg.write_text(yaml.safe_dump(doc))
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) \
+            == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err == ("validation error: initial_bandwidth: the sum is 1.5, "
+                       "above 1; the cap comes from platform.max_total_"
+                       "bandwidth 0.9 and platform.cores 1\n")
+        assert main([verb, str(cfg)]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == err
+        base = parse_scenario("sync5")
+        apps = tuple(dataclasses.replace(a, min_service=1.0,
+                                         initial_bandwidth=0.3)
+                     for a in base.apps)
+        with pytest.raises(ConfigurationError, match="the sum is 1.5"):
+            dataclasses.replace(base, apps=apps)
 
     @pytest.mark.parametrize("argv", [
         ["bounds", "sync5", "--mode", "sync"],
@@ -1038,10 +1083,10 @@ def test_initial_state_admits_exactly_the_feasible_set(case):
     doc["platform"].update(cores=cores, max_total_bandwidth=cap)
     doc["apps"] = [dict(a, initial_bandwidth=x)
                    for a, x in zip(doc["apps"], v)]
-    s = scenario_from_dict(doc)
-    if s.platform.breach(v, [a.id for a in s.apps]):
+    ids = [a["id"] for a in doc["apps"]]
+    if PlatformSpec(**doc["platform"]).breach(v, ids):
         with pytest.raises(ConfigurationError, match="initial_bandwidth"):
-            s.initial_state()
+            scenario_from_dict(doc)
         return
     # every feasible allocation is admitted and runs, in the engine and in
     # the oracle
