@@ -109,6 +109,16 @@ def _jsonable(x):
     return x
 
 
+def _number(x) -> float:
+    """A float as _jsonable writes it: a JSON number, or the string of a
+    non-finite one."""
+    if isinstance(x, str) and x in ("inf", "-inf", "nan"):
+        return float(x)
+    if isinstance(x, (int, float)) and not isinstance(x, bool):
+        return float(x)
+    raise TypeError(f"{x!r} is not a number")
+
+
 def run_bundle(scenario: scen.Scenario, out_dir: Path) -> Dict:
     """Execute a scenario, write trajectory.csv and summary.json into
     out_dir, and return the summary."""
@@ -166,8 +176,8 @@ def compare_bundles(dir_a: Path, dir_b: Path) -> Dict:
     with open(summary_path, "r", encoding="utf-8") as fh:
         try:
             sa = json.load(fh)
-            step = sa["scenario"]["platform"]["step"]
-            ell, n_bar = sa["bounds"]["ell"], int(sa["bounds"]["n_bar"])
+            step = _number(sa["scenario"]["platform"]["step"])
+            ell, n_bar = _number(sa["bounds"]["ell"]), int(sa["bounds"]["n_bar"])
         except (ValueError, KeyError, TypeError) as exc:
             raise ConfigurationError(
                 f"{summary_path}: unreadable run summary: {exc!r}") from exc

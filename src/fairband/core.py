@@ -6,6 +6,7 @@ no function mutates its arguments, except an `out` array it is handed.
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
@@ -95,6 +96,11 @@ class JobModel:
             if key not in self.READS[self.kind] and getattr(self, key) != 0.0:
                 raise ConfigurationError(
                     f"{key} is not read by a {self.kind} model")
+        # an infinite one passes every test above; a run would step nan
+        for key in (*self.READS[self.kind], "beta"):
+            if getattr(self, key) == math.inf:
+                raise ConfigurationError(
+                    f"{self.kind} model requires a finite {key}")
 
     @property
     def effective_beta(self) -> float:

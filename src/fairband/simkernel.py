@@ -92,12 +92,13 @@ def measure(job, service, bandwidth_unnormalized, cold=None, out=None,
         np.divide(d1, s, out=D, where=d1 > ZERO if timed is None else timed)
     # the execution time C sits in f until the matching replaces it
     np.add(np.multiply(c1, s, out=f), c0, out=f)
-    # every share positive (initial: or none at all) needs no mask
-    if np.minimum.reduce(vu, axis=None, initial=np.inf) > 0.0:
+    # every share positive (or none at all) needs no mask
+    pos = np.greater(vu, ZERO)
+    if np.count_nonzero(pos) == pos.size:
         np.divide(f, vu, out=R)
     else:
         R.fill(np.inf)
-        np.divide(f, vu, out=R, where=vu > ZERO)
+        np.divide(f, vu, out=R, where=pos)
     if cold is not None:
         np.copyto(R, D, where=cold)
     np.subtract(np.divide(D, R, out=f), ONE, out=f)
@@ -382,6 +383,10 @@ def run_scenario(scenario) -> Trajectory:
     admitted = scenario.admitted
     check_budget(steps, len(admitted))
     table = compile_apps(admitted, platform, scenario.mode)
+    # d0 is each row's deadline until its instant writes d1 / s, so the
+    # kernel reads it from the record, not from the table
+    d0, names = table.job[2], np.array([a.id for a in admitted], dtype=object)
+    table = replace(table, job=(*table.job[:2], None, table.job[3]))
     live = np.arange(len(scenario.apps))
     since = np.zeros_like(live)
     edges = sorted({0, steps, *(k for k in scenario.schedule if k < steps)})
@@ -402,8 +407,7 @@ def run_scenario(scenario) -> Trajectory:
                 live, since = np.append(live, row), np.append(since, k0)
                 s = np.append(s, admitted[row].initial_service)
                 v = np.append(v, seed)
-            ids = tuple(admitted[row].id for row in live.tolist())
-            c = gather(table, live)
+            ids, c = tuple(names[live]), gather(table, live)
             if k0 < steps - 1 and (why := platform.breach(v, ids)):
                 raise InvariantViolation(
                     f"input state is not a feasible allocation: {why}",
@@ -412,10 +416,7 @@ def run_scenario(scenario) -> Trajectory:
             # instant i is rec[i, 0:2], and one extra row takes the state
             # the epoch leaves
             rec = np.empty((k1 - k0 + 1, len(VALUES), len(ids)))
-            rec[0, 0], rec[0, 1] = s, v
-            # d0 is each row's deadline until its instant writes d1 / s
-            rec[:, 2] = c.job[2]
-            c = replace(c, job=(*c.job[:2], None, c.job[3]))
+            rec[0, 0], rec[0, 1], rec[:, 2] = s, v, d0[live]
             cold = since == k0
             # past the cold start an instant's step depends only on the
             # entering state and on the due masks, which repeat every L

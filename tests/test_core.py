@@ -1,6 +1,9 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from fairband import (ApplicationSpec, ConfigurationError, JobModel,
                       PlatformSpec, fairness_vector, make_state, measure_job)
@@ -54,6 +57,31 @@ class TestFairnessMeasure:
     def test_all_abundant_is_fair_for_any_split(self):
         for v in ([0.1, 0.9], [0.5, 0.5], [0.0, 1.0]):
             assert not fairness_vector([0.3, 0.1], v, [1, 0.5]).any()
+
+    # the paper's two sums, evaluated exactly in rationals from the float
+    # inputs; the float result may differ by its rounding, at most about
+    # (n/2 + 3) eps * sum|w| for n <= 8 apps, under the 8 eps * sum|w| here,
+    # plus a subnormal step per operation where a product underflows
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 8).flatmap(lambda n: st.sampled_from(
+        [(n,), (1, n), (3, n)])).flatmap(lambda shape: st.tuples(*(
+            arrays(float, shape, elements=el) for el in (
+                st.sampled_from([-1.0, 0.0, -0.0]) | st.floats(-1.0, 4.0),
+                st.floats(0.0, 1.0), st.floats(0.0, 1.0))))))
+    def test_matches_the_two_sum_form(self, args):
+        phi, v, lam = args
+        out = np.empty(phi.shape)
+        assert fairness_vector(phi, v, lam, out=out) is out
+        rows = (int(np.prod(phi.shape[:-1])), phi.shape[-1])
+        w = [[Fraction(x) * min(Fraction(p), 0) for x, p in zip(*row)]
+             for row in zip(lam.reshape(rows), phi.reshape(rows))]
+        for got, wr, vr in zip(out.reshape(rows), w, v.reshape(rows)):
+            bound = 8 * (Fraction(np.finfo(float).eps) * sum(map(abs, wr))
+                         + Fraction(np.finfo(float).smallest_subnormal))
+            for i, (g, vi) in enumerate(zip(got.tolist(), vr.tolist())):
+                vi = Fraction(vi)
+                exact = -(1 - vi) * wr[i] + vi * sum(wr[:i] + wr[i + 1:])
+                assert abs(Fraction(g) - exact) <= bound
 
 
 class TestFeasibility:
@@ -119,6 +147,18 @@ class TestTypes:
         with pytest.raises(ConfigurationError,
                            match=f"{kind} model requires .*beta > 0"):
             JobModel(kind=kind, beta=beta, **coefficients)
+
+    # an infinite coefficient passes the "> 0" tests above
+    @pytest.mark.parametrize("kind, coefficients", [
+        ("synthetic", dict(a=20.0, b=200.0, deadline=1000.0, beta=1.0)),
+        ("multimedia", dict(alpha=200.0, deadline=1000.0, beta=1.0)),
+        ("control", dict(alpha=200.0, beta=1.0)),
+    ], ids=["synthetic", "multimedia", "control"])
+    def test_coefficients_must_be_finite(self, kind, coefficients):
+        for key in coefficients:
+            with pytest.raises(ConfigurationError,
+                               match=f"{kind} model requires a finite {key}"):
+                JobModel(kind=kind, **dict(coefficients, **{key: np.inf}))
 
     def test_effective_beta(self):
         assert JobModel(kind="multimedia", alpha=4.0, deadline=2.0).effective_beta == 0.5

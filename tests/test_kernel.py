@@ -320,6 +320,29 @@ def test_settled_epoch_is_filled_not_stepped(monkeypatch):
     assert calls[0] == 1050
 
 
+# (Epoch.steps, Epoch.period) of every epoch: where each run settles into a
+# cycle it fills, so a numerics change that delays a fill fails here by
+# name, not only in a digest. Churn's epochs are shorter than any cycle.
+CHURN_EPOCHS = [(7, 0)] + [(1, 0), (6, 0)] * 11 + [(1, 0), (5, 0), (1, 0),
+                                                    (9, 0)]
+SETTLES = {
+    "async3-5e7-compensated": (PINNED["async3-5e7-compensated"][0],
+                               [(1050, 10)]),
+    "async3-2e7-uncompensated": (
+        lambda: _short("async3", instants=2001, mode="async_uncompensated"),
+        [(2001, 0)]),
+    "sync5": (lambda: parse_scenario("sync5"), [(5001, 0)]),
+    "churn-compensated": (PINNED["churn-compensated"][0], CHURN_EPOCHS),
+    "churn-uncompensated": (PINNED["churn-uncompensated"][0], CHURN_EPOCHS),
+}
+
+
+@pytest.mark.parametrize("name", SETTLES)
+def test_epochs_settle_where_pinned(name):
+    build, want = SETTLES[name]
+    assert [(e.steps, e.period) for e in run_scenario(build()).epochs] == want
+
+
 def _without_fill(s, monkeypatch):
     """run_scenario(s) with an lcm past the last instant, so that the
     repeat check never runs and every instant is stepped."""

@@ -224,6 +224,34 @@ apps:
         with pytest.raises(ConfigurationError, match=r"events\[0\]\.app"):
             scenario_from_dict(doc)
 
+    # an infinite coefficient passes every "> 0" test, so it is refused on
+    # its own: run would step nan shares, and solve print a 0.0 share
+    @pytest.mark.parametrize("model", [
+        {"kind": "synthetic", "a": 20.0, "b": 200.0, "deadline": math.inf},
+        {"kind": "synthetic", "a": math.inf, "b": 200.0, "deadline": 1000.0},
+        {"kind": "synthetic", "a": 20.0, "b": math.inf, "deadline": 1000.0},
+        {"kind": "multimedia", "alpha": math.inf, "deadline": 1000.0},
+        {"kind": "control", "alpha": 200.0, "beta": math.inf},
+    ], ids=["deadline", "a", "b", "alpha", "beta"])
+    @pytest.mark.parametrize("verb", ["run", "solve"])
+    def test_non_finite_model_coefficient_rejected(self, tmp_path, capsys,
+                                                   model, verb):
+        doc = _sync5_doc(horizon=20000.0)
+        for app in doc["apps"]:
+            app["min_service"] = 1.0
+        doc["apps"][1]["model"] = model
+        cfg = tmp_path / "inf.yaml"
+        cfg.write_text(yaml.safe_dump(doc))
+        out = ["--out", str(tmp_path / "out")] if verb == "run" else []
+        assert main([verb, str(cfg), *out]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "apps[1].model" in err and "finite" in err
+        doc = _sync5_doc(events=[{"time": 2000.0, "action": "join",
+                                  "app": dict(doc["apps"][1], id="x")}])
+        with pytest.raises(ConfigurationError,
+                           match=r"events\[0\]\.app.*finite"):
+            scenario_from_dict(doc)
+
     # a given beta must be positive on every kind, so solve prints no
     # negative share
     @pytest.mark.parametrize("beta", [-2.0, 0.0, math.nan])
@@ -574,6 +602,39 @@ apps:
         assert main(["run", "sync5", "--horizon", str(5.0 * MS),
                      "--out", str(a)]) == EXIT_OK
         (a / "summary.json").write_text(body)
+        capsys.readouterr()
+        assert main(["compare", str(a), str(a)]) == EXIT_VALIDATION
+        assert str(a / "summary.json") in capsys.readouterr().err
+
+    # a deadline this long puts ell at inf, which summary.json writes as
+    # the string "inf"; compare reads it back as the float
+    def test_compare_reads_a_non_finite_bound(self, tmp_path, capsys):
+        doc = _sync5_doc(horizon=20.0 * MS)
+        doc["apps"][1]["model"] = {"kind": "synthetic", "a": 1.0e-3,
+                                   "b": 1.0e-3, "deadline": 1.0e308}
+        cfg, a = tmp_path / "s.yaml", tmp_path / "a"
+        cfg.write_text(yaml.safe_dump(doc))
+        assert main(["run", str(cfg), "--out", str(a)]) == EXIT_OK
+        assert json.loads((a / "summary.json").read_text())["bounds"]["ell"] \
+            == "inf"
+        capsys.readouterr()
+        assert main(["compare", str(a), str(a)]) == EXIT_OK
+        report = json.loads(capsys.readouterr().out)
+        assert report["equivalence_bound"] == "inf" and report["within_bound"]
+
+    @pytest.mark.parametrize("key, value", [
+        ("ell", "lots"), ("ell", [1.0]), ("ell", True), ("ell", None),
+        ("step", "0.05")])
+    def test_compare_refuses_a_bound_that_is_not_a_number(self, tmp_path,
+                                                          capsys, key, value):
+        a = tmp_path / "a"
+        assert main(["run", "sync5", "--horizon", str(5.0 * MS),
+                     "--out", str(a)]) == EXIT_OK
+        summary = json.loads((a / "summary.json").read_text())
+        where = summary["bounds"] if key == "ell" else \
+            summary["scenario"]["platform"]
+        where[key] = value
+        (a / "summary.json").write_text(json.dumps(summary))
         capsys.readouterr()
         assert main(["compare", str(a), str(a)]) == EXIT_VALIDATION
         assert str(a / "summary.json") in capsys.readouterr().err
