@@ -32,17 +32,16 @@ def fairness_vector(matchings, bandwidths, weights, out=None) -> np.ndarray:
           + vbar_i * sum_{j != i} lam_j * min(phi_j, 0)
 
     `bandwidths` are normalized (vbar = v / cores), each in [0, 1/cores].
-    The result is written into `out` when given. It is evaluated as
-    vbar * (total - w) - (1 - vbar) * w, which has the bits of the sum
-    above: b - x equals -x + b exactly, signed zeros included.
+    The result is written into `out` when given. With w = lam * min(phi, 0)
+    and T = sum_j w_j the sum above equals vbar_i * T - w_i, the form
+    evaluated here in five ufunc calls; the float result lies within a few
+    eps * sum|w| of the exact sum. The sum identity
+    sum_i F_i = (sum_i vbar_i - 1) * T holds in real arithmetic.
     """
-    vbar = bandwidths
     w = np.multiply(weights, np.minimum(matchings, ZERO))
     total = np.add.reduce(w, axis=-1, keepdims=True)
-    out = np.subtract(ONE, vbar, out=out)
-    np.multiply(out, w, out=out)
-    np.multiply(vbar, np.subtract(total, w, out=w), out=w)
-    return np.subtract(w, out, out=out)
+    out = np.multiply(bandwidths, total, out=out)
+    return np.subtract(out, w, out=out)
 
 
 @dataclass(frozen=True)

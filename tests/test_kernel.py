@@ -1,9 +1,11 @@
 """Pins on the engine's output: artifact digests, relations between modes,
 and the checks that stop a run before or during its step loop.
 
-The digests were recorded from runs before the step kernel replaced the
-per-app engine loop; any change to the recursion's arithmetic or operation
-order moves them.
+The digests were first recorded from runs before the step kernel replaced
+the per-app engine loop, and every refactor since kept them bit for bit. The
+one declared numerics change, fairness_vector's short form vbar * sum(w) - w,
+re-recorded those it moved. Any change to the recursion's arithmetic or
+operation order moves them.
 """
 
 import dataclasses
@@ -16,11 +18,11 @@ from hypothesis import given, settings, strategies as st
 
 import fairband.adaptation as adaptation
 import fairband.simkernel as simkernel
-from fairband import (ApplicationSpec, Coefficients, ConfigurationError,
-                      InvariantViolation, JobModel, MembershipEvent,
-                      PlatformSpec, Scenario, compile_apps, fairness_vector,
-                      kernel_step, parse_scenario, parse_scenario_text,
-                      run_scenario, service_step)
+from fairband import (AdmissionError, ApplicationSpec, Coefficients,
+                      ConfigurationError, InvariantViolation, JobModel,
+                      MembershipEvent, PlatformSpec, Scenario, compile_apps,
+                      fairness_vector, kernel_step, parse_scenario,
+                      parse_scenario_text, run_scenario, service_step)
 from fairband.cli import (EXIT_OK, main, read_trajectory_csv, run_bundle,
                           write_trajectory_csv)
 from fairband.core import SUM_TOL
@@ -193,51 +195,51 @@ events:
 
 PINNED = {
     "sync5": (lambda: _short("sync5"),
-        "d68892aa7e5d9ae4d60903d9f3534ba21918ba3e0a8685021f9d5199086b020a"),
+        "d21e38a3f7b946357ed8d1d031a44027bcee609551c129767d190710617228a6"),
     "async3-compensated": (lambda: _short("async3"),
-        "8db5e173bb8fd8a45d947231d625832d9214956d6b0938f1fa26aef022a91ea6"),
+        "2d4eec74461c4468e302f0085f41c44d7b94d23b36c1a37c5898d82b8980bba6"),
     "async3-uncompensated": (
         lambda: _short("async3", mode="async_uncompensated"),
-        "4f485d715c08ea655c32af57894deae4274d62d8f5aa8bbb767a995f9aef6467"),
+        "e6ea87542932a5097df8e44a6ca5b07bf0090ae6dbfe349e917dcb5025ad7129"),
     "mixed": (_mixed,
-        "5b6791746e7e551c775e20b7540c733a713d9f596d542a2eae1d3099bfb3f3b2"),
-    # a step this large clips bandwidths, removes excess and starves apps
-    "mixed-step-1.5": (lambda: _mixed(step=1.5),
-        "2e3d4bc51652a9714b940665f8a712ea463ec262147a20480257fd81de3fff95"),
-    # these settle into an exact cycle from instant 1,035 (1,036 in sync);
-    # their digests were recorded before settled epochs were filled
+        "a3ea5f40322b309554535c0245a7f090ffebaa359118caa4e6fe86240887bfa2"),
+    # a step this large clips bandwidths, removes excess and starves apps;
+    # it keeps the shares at the full allocation, so the join at 31 finds
+    # no pool (test_join_into_a_full_allocation_is_refused) and the pin
+    # ends at 30
+    "mixed-step-1.5": (lambda: _mixed(step=1.5, horizon=30.0),
+        "b44f9a43b9d69f11c81bf044d980b4ec1b4630746d7338932599f64c35f729e8"),
+    # these settle into an exact cycle from instant 1,035 (1,036 in sync),
+    # and are filled from there
     "async3-5e7-compensated": (lambda: _short("async3", instants=5001),
-        "dc7fb3ff11a20a9fab8d45ef525701eb1af8a3fb84b047edb6911be4a44e29c7"),
+        "5ca47c5dd2e310e70b54a96fa5f8ff05e17d33eb77f1f9e7292bbd4417ba1283"),
     "async3-5e7-sync": (lambda: _short("async3", instants=5001, mode="sync"),
-        "046ed2f14003edc22b4d99c508785dd679e54dec539541cc669971ccdc8db610"),
+        "628e826fca68e04e6031e323d01cf38bb2f6c5019f545c8c71a6df1f7c69bcb9"),
     # the first epoch is filled from instant 1,050 at a fixed point and
     # carries its state 3 instants into the 10-instant cycle
     "tail-event": (_tail_event,
-        "6d76e4e43f867db808ff7c94038295be10ba0cec19e08487fc0a78ae8e3b9284"),
+        "66347f31a65a8726ad880319ace1d34318a375eb5a8b09a8b8f2435bf8ebfa38"),
     # at step 1.0 the first epoch settles into a 2-cycle from instant 48 and
     # is filled from 60; the state it carries is 1 instant into the cycle,
     # which differs from the state at the instant the fill began
     "tail-event-2-cycle": (lambda: _tail_event(leave=1001, step=1.0),
-        "6f564de7d378612071eec35f47f37facb2715d990ffc1ff72783b62f21bf314d"),
-    # two cores, so the measured bandwidth is kappa * v; recorded before
-    # the kernel skipped kappa * v at one core
+        "d16ed7a0644442a2d41b8b1c40103388d05f375a41dbb38bb15b8303511ab33c"),
+    # two cores, so the measured bandwidth is kappa * v, which the kernel
+    # skips at one core
     "async3-2-cores": (lambda: _cores(_short("async3"), 2),
-        "1c8021dbda238f069315c94857f182b55aa7e662d39c613e233832d11f7b83df"),
+        "4b87847ddb03058eb146182eb733c06c0a24987dcec6ef1ae6465901688cd1e3"),
     "sync5-2-cores": (lambda: _cores(_short("sync5"), 2),
         "921aaad59c4d5ca361935908c58ed4305946d2b26f82875cc67a45bb733d78ec"),
-    # recorded before the run compiled its apps into one table
     "churn-compensated": (lambda: _churn("async_compensated"),
-        "38ef88fabefd0f5a5b21cce3ebbdb05b0bac93d7fbf6cee5936f11a196d8a36e"),
+        "4a293bf9212d01f834d254b9c793f587ec4287b9577645de0fd2689e91329edb"),
     "churn-uncompensated": (lambda: _churn("async_uncompensated"),
-        "9c450dab0a544d2841671434b4403e7dc8505715235f2ade90470c2a8e975893"),
-    # recorded while run_scenario still walked the events itself
+        "7a9e30073bf3f4cc7f97e05dd32ea8e772c31755af2bbc862baddaaaf3c92957"),
     "schedule": (lambda: parse_scenario_text(SCHEDULE),
-        "ed26067a79bfdcbfee02fc8bc8068a6c27ab33c3862a3759fd33cc9839a4844c"),
-    # recorded while the readers regrouped the flat row table themselves
+        "65a61f6a4a71a1695767ea7b423e8936a5de43db2d9d7b6d959d149b62195eab"),
     "wide": (_wide,
-        "02af5bca5619d5351b38ec8772a08d05dae6f4b07344845797c2f8dccf5cbc83"),
+        "e1c3ea4e52bbdaf38588756fc580265deafe89707edc6b8f122ba7a76bf91a28"),
     "rejoin-last": (_rejoin_last,
-        "f36c89b8664f61684325e452f17248183f560c188474269096e13bcc22bd6d31"),
+        "9c1af58f25efe72869554ee3f8e5dfa307856a2c3fd109e0c0f85fe826c118ff"),
 }
 
 
@@ -255,13 +257,13 @@ def test_trajectory_digest_pinned(name, tmp_path):
 # pairwise sum moves it); rejoin-last's verdict, that two epochs over one
 # id tuple are read as one
 SUMMARY_PINNED = {
-    "sync5": "c4908668bd2ef30c35416faab2f2ae6eee395322024b7ce29f673062f379619d",
+    "sync5": "d79f7e903f14f0451be5f5443999ca5de51dc679f59e41cda9468f33723816bb",
     "async3-5e7-compensated":
-        "3c56392e3d5df9facd618b8e6fb1754d95a5b3a99ba8cd38687b7b083123084c",
+        "c12b017c25ead058cd466e6e86cc58bb20aac49b73dfd19b6e448fa4f170e723",
     "mixed": "05f6cc94cf5f23a869048e90c6625c3ca3a95dc2b9e632ccd95961915d0bf711",
-    "wide": "1078adc17c360f904a4a913020bda2d782377871013d54a64b6586afc6165856",
+    "wide": "6a56a7d7a2d7b4158afe76f00662bf71c28feea8176fad8c9bd2e9880b1a9432",
     "rejoin-last":
-        "12ac742eac7f38e5d6b1970eb3b97f857add44fc700e41bdb74c69192f5c4f11",
+        "0ec6ba9125f01440c10b3288b69f7c9c867c0a5911a0a0a2c8e5de43bc8bea77",
 }
 
 
@@ -279,7 +281,7 @@ COMPARE_PINNED = {
     "churn": (
         (lambda: _churn("async_compensated"),
          lambda: _churn("async_uncompensated")),
-        "91d50767db15cc6d4355b64d4b48a1a55f4e007de13b6f9be40224c4b97515fd"),
+        "2bc4d56be9078a7445807dd3a196f236f2646de69b7481f5a948dba26f0344b0"),
     "sync5-ode-reference": (
         (lambda: _short("sync5"),
          lambda: _short("sync5", mode="ode_reference")),
@@ -300,6 +302,15 @@ def test_compare_digest_pinned(name, tmp_path, capsys):
     out = tmp_path / "compare.json"
     assert main(["compare", *map(str, dirs), "--out", str(out)]) == EXIT_OK
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+# from instant 21 on the step-1.5 run holds sum(v) at 1 to rounding: the
+# pool is empty in exact arithmetic when `late` joins at 31, and is 0.0
+# there, so the join is refused; a rounding that left 1 - sum(v) a few
+# ulps above 0 would seed it with that sliver
+def test_join_into_a_full_allocation_is_refused():
+    with pytest.raises(AdmissionError, match="cannot admit 'late': no unused"):
+        run_scenario(_mixed(step=1.5))
 
 
 def _count_steps(monkeypatch):
