@@ -177,7 +177,8 @@ def compare_bundles(dir_a: Path, dir_b: Path) -> Dict:
         try:
             sa = json.load(fh)
             step = _number(sa["scenario"]["platform"]["step"])
-            ell, n_bar = _number(sa["bounds"]["ell"]), int(sa["bounds"]["n_bar"])
+            ell = _number(sa["bounds"]["ell"])
+            n_bar = int(sa["bounds"]["n_bar"])
         except (ValueError, KeyError, TypeError) as exc:
             raise ConfigurationError(
                 f"{summary_path}: unreadable run summary: {exc!r}") from exc
