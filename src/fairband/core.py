@@ -66,6 +66,11 @@ class JobModel:
     READS = {"synthetic": ("a", "b", "deadline"),
              "multimedia": ("alpha", "deadline"),
              "control": ("alpha", "beta")}
+    # the quotient each kind derives: control's execution time alpha/beta,
+    # the others' beta when it is not given
+    QUOTIENT = {"synthetic": ("deadline", "a"),
+                "multimedia": ("deadline", "alpha"),
+                "control": ("alpha", "beta")}
 
     def __post_init__(self):
         if not (isinstance(self.kind, str) and self.kind in self.READS):
@@ -95,11 +100,20 @@ class JobModel:
             if key not in self.READS[self.kind] and getattr(self, key) != 0.0:
                 raise ConfigurationError(
                     f"{key} is not read by a {self.kind} model")
-        # an infinite one passes every test above; a run would step nan
-        for key in (*self.READS[self.kind], "beta"):
+        # an infinite one passes every test above, and a quotient of two
+        # finite ones may overflow or round to 0; either way a run would
+        # step nan
+        for key in ("deadline", "alpha", "a", "b", "beta"):
             if getattr(self, key) == math.inf:
                 raise ConfigurationError(
                     f"{self.kind} model requires a finite {key}")
+        num, den = self.QUOTIENT[self.kind]
+        derived = self.kind == "control" or (self.beta is None
+                                             and getattr(self, den) > 0.0)
+        if derived and not (0.0 < getattr(self, num) / getattr(self, den)
+                            < math.inf):
+            raise ConfigurationError(f"{self.kind} model requires a finite, "
+                                     f"nonzero {num}/{den}")
 
     @property
     def effective_beta(self) -> float:

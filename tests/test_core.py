@@ -160,6 +160,21 @@ class TestTypes:
                                match=f"{kind} model requires a finite {key}"):
                 JobModel(kind=kind, **dict(coefficients, **{key: np.inf}))
 
+    # a quotient of two finite coefficients may overflow or round to 0
+    @pytest.mark.parametrize("kind, coefficients, quotient", [
+        ("multimedia", dict(alpha=1e-10, deadline=1e300), "deadline/alpha"),
+        ("multimedia", dict(alpha=1e300, deadline=1e-300), "deadline/alpha"),
+        ("synthetic", dict(a=1e-10, b=1.0, deadline=1e300), "deadline/a"),
+        ("control", dict(alpha=200.0, beta=1e-307), "alpha/beta"),
+        ("control", dict(alpha=1e-300, beta=1e300), "alpha/beta"),
+    ], ids=["multimedia-overflow", "multimedia-underflow",
+            "synthetic-overflow", "control-overflow", "control-underflow"])
+    def test_derived_coefficients_must_be_finite(self, kind, coefficients,
+                                                 quotient):
+        with pytest.raises(ConfigurationError, match=f"{kind} model requires "
+                           f"a finite, nonzero {quotient}"):
+            JobModel(kind=kind, **coefficients)
+
     def test_effective_beta(self):
         assert JobModel(kind="multimedia", alpha=4.0, deadline=2.0).effective_beta == 0.5
         assert JobModel(kind="synthetic", a=20.0, b=200.0, deadline=1000.0).effective_beta == 50.0

@@ -1,11 +1,8 @@
 """Pins on the engine's output: artifact digests, relations between modes,
 and the checks that stop a run before or during its step loop.
 
-The digests were first recorded from runs before the step kernel replaced
-the per-app engine loop, and every refactor since kept them bit for bit. The
-one declared numerics change, fairness_vector's short form vbar * sum(w) - w,
-re-recorded those it moved. Any change to the recursion's arithmetic or
-operation order moves them.
+Any change to the recursion's arithmetic or operation order moves the
+digests; a re-pin needs a declared reason.
 """
 
 import dataclasses
@@ -63,6 +60,12 @@ def _mixed(**changes):
         changes["platform"] = dataclasses.replace(s.platform,
                                                   step=changes.pop("step"))
     return dataclasses.replace(s, **changes)
+
+
+def _join_at(s, time):
+    return dataclasses.replace(s, events=tuple(
+        dataclasses.replace(e, time=time) if e.action == "join" else e
+        for e in s.events))
 
 
 def _short(preset, instants=400, **changes):
@@ -209,6 +212,11 @@ PINNED = {
     # ends at 30
     "mixed-step-1.5": (lambda: _mixed(step=1.5, horizon=30.0),
         "b44f9a43b9d69f11c81bf044d980b4ec1b4630746d7338932599f64c35f729e8"),
+    # the same step with the join moved to the leave's instant 20, where
+    # med's share (0.53) is unused: the joiner's cold start is clipped,
+    # and so are 29 of the 40 instants after it, each with excess removed
+    "mixed-step-1.5-join": (lambda: _join_at(_mixed(step=1.5), 20.0),
+        "f89812a9314c221cf963f0ebaabffc78d78ca6fc6accd622bf590e50b20ae96c"),
     # these settle into an exact cycle from instant 1,035 (1,036 in sync),
     # and are filled from there
     "async3-5e7-compensated": (lambda: _short("async3", instants=5001),

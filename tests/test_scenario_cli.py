@@ -224,15 +224,19 @@ apps:
         with pytest.raises(ConfigurationError, match=r"events\[0\]\.app"):
             scenario_from_dict(doc)
 
-    # an infinite coefficient passes every "> 0" test, so it is refused on
-    # its own: run would step nan shares, and solve print a 0.0 share
+    # an infinite coefficient, or an overflowing or vanishing quotient of
+    # two, passes every "> 0" test, so it is refused on its own: run would
+    # step nan shares, and solve print a 0.0 share
     @pytest.mark.parametrize("model", [
         {"kind": "synthetic", "a": 20.0, "b": 200.0, "deadline": math.inf},
         {"kind": "synthetic", "a": math.inf, "b": 200.0, "deadline": 1000.0},
         {"kind": "synthetic", "a": 20.0, "b": math.inf, "deadline": 1000.0},
         {"kind": "multimedia", "alpha": math.inf, "deadline": 1000.0},
         {"kind": "control", "alpha": 200.0, "beta": math.inf},
-    ], ids=["deadline", "a", "b", "alpha", "beta"])
+        {"kind": "multimedia", "alpha": 1e-10, "deadline": 1e300},
+        {"kind": "control", "alpha": 1e-300, "beta": 1e300},
+    ], ids=["deadline", "a", "b", "alpha", "beta", "deadline/alpha",
+            "alpha/beta"])
     @pytest.mark.parametrize("verb", ["run", "solve"])
     def test_non_finite_model_coefficient_rejected(self, tmp_path, capsys,
                                                    model, verb):
@@ -607,11 +611,13 @@ apps:
         assert str(a / "summary.json") in capsys.readouterr().err
 
     # a deadline this long puts ell at inf, which summary.json writes as
-    # the string "inf"; compare reads it back as the float
+    # the string "inf"; compare reads it back as the float. The model
+    # gives beta, since its derived beta, deadline/a, would overflow too
     def test_compare_reads_a_non_finite_bound(self, tmp_path, capsys):
         doc = _sync5_doc(horizon=20.0 * MS)
         doc["apps"][1]["model"] = {"kind": "synthetic", "a": 1.0e-3,
-                                   "b": 1.0e-3, "deadline": 1.0e308}
+                                   "b": 1.0e-3, "deadline": 1.0e308,
+                                   "beta": 1.0}
         cfg, a = tmp_path / "s.yaml", tmp_path / "a"
         cfg.write_text(yaml.safe_dump(doc))
         assert main(["run", str(cfg), "--out", str(a)]) == EXIT_OK
