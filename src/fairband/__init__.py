@@ -11,7 +11,7 @@ from .core import (ApplicationSpec, JobModel, PlatformSpec, fairness_vector,
                    make_state)
 from .adaptation import RmUpdateResult, rm_step
 from .simkernel import (Coefficients, Trajectory, compile_apps, kernel_step,
-                        measure_job, run_scenario, service_step)
+                        measure_job, run_scenario)
 from .reference import (BalanceThresholds, StationaryPoint, TheoreticalBounds,
                         asymptotic_fair_share, balance_thresholds,
                         compute_bounds, equivalence_bound, integrate_ode,

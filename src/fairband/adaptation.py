@@ -56,17 +56,27 @@ def project_bandwidth(raw: np.ndarray, upper: float, out=None
     if out is None or clipped is not None:
         clipped = np.not_equal(v, raw, out=clipped)
     total = np.add.reduce(v, axis=-1)
+    return v, remove_excess(v, raw, total, clipped), total
+
+
+def remove_excess(v: np.ndarray, raw: np.ndarray, total, clipped=None):
+    """Remove, in place, the excess of each row of the clipped bandwidths
+    `v` whose sum `total` exceeds 1 + SUM_TOL; `raw` are the bandwidths
+    before the clip. Returns the mask of apps the projection moved, updated
+    in place when `clipped` gives the clip's mask; when it is None, the
+    mask is built only if some row has an excess, else None is returned.
+    """
     over = total > 1.0 + SUM_TOL
     # one row's test is a numpy bool; the ufunc reduce over many rows skips
     # ndarray.any's Python wrapper
     if not (np.logical_or.reduce(over, axis=None) if over.ndim else over):
-        return v, clipped, total
+        return clipped
     clipped = np.not_equal(v, raw) if clipped is None else clipped
     box = v.copy()
     for row in map(tuple, np.argwhere(over)):
         v[row] = _remove_excess(box[row], total[row] - 1.0, clipped[row])
     np.logical_or(clipped, v != box, out=clipped)
-    return v, clipped, total
+    return clipped
 
 
 def rm_step(state: Tuple[np.ndarray, np.ndarray],

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -194,6 +195,8 @@ def compare_bundles(dir_a: Path, dir_b: Path) -> Dict:
     return report
 
 
+# built once per process: parse_args leaves the parser as it was
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="fairband",

@@ -16,7 +16,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .adaptation import project_bandwidth
+from .adaptation import remove_excess
 from .core import (ONE, SUM_TOL, ZERO, ApplicationSpec, JobModel,
                    PlatformSpec, fairness_vector)
 from .errors import AdmissionError, ConfigurationError, InvariantViolation
@@ -37,6 +37,9 @@ QUIET = dict(divide="ignore", invalid="ignore", over="ignore")
 # joined Trajectory, about 120 bytes in all, so this bounds a run's arrays
 # at about 1.2 GB.
 MAX_APP_STEPS = 10_000_000
+
+# a bandwidth row whose sum exceeds this has its excess removed
+LIMIT = 1.0 + SUM_TOL
 
 
 def instants(horizon: float, period: float) -> int:
@@ -130,7 +133,12 @@ class Coefficients:
     gain): the kernel skips it, as it skips kappa * v at kappa = 1. Each
     skip is exact: the result has the bits of d1 = 0, gain = 1. None in d0
     means the deadline row holds it already. eps and upper are held as
-    read-only arrays (see core.ZERO); timed is the d1 > 0 mask, None with d1.
+    read-only arrays (see core.ZERO), and lo and hi with a -0.0 made +0.0.
+
+    The rest is derived once, for kernel_step: timed is the d1 > 0 mask,
+    None with d1; low and high stack the (service, bandwidth) bounds,
+    (lo, 0) and (hi, upper), and scale the factors (gain, 1), None with
+    gain, each on a first axis of 2 over at least one more.
     """
     job: Tuple[np.ndarray, np.ndarray, np.ndarray, Optional[np.ndarray]]
     lam: np.ndarray
@@ -142,14 +150,43 @@ class Coefficients:
     kappa: int
     upper: np.ndarray
     timed: Optional[np.ndarray] = field(init=False, repr=False)
+    low: np.ndarray = field(init=False, repr=False)
+    high: np.ndarray = field(init=False, repr=False)
+    scale: Optional[np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self):
         d1 = self.job[3]
-        object.__setattr__(self, "timed", None if d1 is None else d1 > ZERO)
-        for name in ("eps", "upper"):
-            x = np.array(getattr(self, name), dtype=float)
-            x.flags.writeable = False
+        eps, upper = (np.array(x, dtype=float) for x in (self.eps, self.upper))
+        eps.flags.writeable = upper.flags.writeable = False
+        # a clamp's tie returns the bound, so a +0.0 bound gives +0.0
+        lo, hi = np.add(self.lo, ZERO), np.add(self.hi, ZERO)
+        low, high = _stack(lo, ZERO), _stack(hi, upper)
+        scale = None if self.gain is None else _stack(self.gain, ONE)
+        # one number of axes, so the kernel tests that of one
+        ndim = max(low.ndim, high.ndim, 0 if scale is None else scale.ndim)
+        low, high, scale = (_lift(x, ndim) for x in (low, high, scale))
+        for name, x in dict(timed=None if d1 is None else d1 > ZERO, eps=eps,
+                            upper=upper, lo=lo, hi=hi, low=low, high=high,
+                            scale=scale).items():
             object.__setattr__(self, name, x)
+
+
+def _stack(top, bottom) -> np.ndarray:
+    """top over a scalar bottom, as one array of a first axis of 2 over at
+    least one more, so that it broadcasts against the kernel's (2, ..., n)
+    rows."""
+    rows = np.empty((2, *(np.shape(top) or (1,))))
+    rows[0], rows[1] = top, bottom
+    return rows
+
+
+def _lift(rows: Optional[np.ndarray], ndim: int) -> Optional[np.ndarray]:
+    """A stacked coefficient with axes of length 1 inserted after its first,
+    to `ndim` axes: (2, n) bounds step (2, S, n) rows."""
+    if rows is None or rows.ndim == ndim:
+        return rows
+    return rows.reshape(rows.shape[:1] + (1,) * (ndim - rows.ndim)
+                        + rows.shape[1:])
 
 
 def compile_apps(specs: Sequence[ApplicationSpec], platform: PlatformSpec,
@@ -192,22 +229,9 @@ def gather(c: Coefficients, live: np.ndarray) -> Coefficients:
 def project_service(c: Coefficients, services: np.ndarray, out=None
                     ) -> np.ndarray:
     """Clamp service levels onto each app's [floor, ceiling], into `out`
-    when given."""
-    return np.minimum(c.hi, np.maximum(c.lo, services, out=out), out=out)
-
-
-def service_step(c: Coefficients, services: np.ndarray,
-                 matchings: np.ndarray, *, idle, out=None) -> np.ndarray:
-    """The service recursion: s + eps * gain * f, projected, for every app
-    but those in the `idle` mask (the apps not due at this instant), which
-    keep their service. The result is written into `out` when given; it
-    must not be `services`."""
-    s, f = services, matchings
-    out = np.multiply(c.eps, f if c.gain is None else c.gain * f,
-                      out=np.empty(np.shape(s)) if out is None else out)
-    project_service(c, np.add(s, out, out=out), out=out)
-    np.copyto(out, s, where=idle)
-    return out
+    when given. Each clamp takes (value, bound), as kernel_step's does, so
+    the two give the same bits."""
+    return np.minimum(np.maximum(services, c.lo, out=out), c.hi, out=out)
 
 
 def due_mask(c: Coefficients, since: np.ndarray, k0: int, k1: int
@@ -233,8 +257,11 @@ def kernel_step(c: Coefficients, here: np.ndarray, there: np.ndarray, *,
     at their cold start, the instant they joined, or is None when no app
     is. `clipped`, when given, receives the mask of apps the bandwidth
     projection moved. The phases are: measure every app, form the
-    fairness signal, take the projected bandwidth step, then the service
-    step of the due apps.
+    fairness signal, then step both recursions as one (2, ...) block: the
+    state here[0:2] plus eps * (gain * matching, fairness), clamped to
+    (c.low, c.high), the box of project_service over that of
+    project_bandwidth. The apps in `idle` then keep their service, and a
+    row whose sum exceeds 1 + SUM_TOL has its excess removed.
 
     Returns the bandwidth row sums before excess removal. A row whose sum
     exceeds 1 + SUM_TOL had its excess removed; every other row is
@@ -247,11 +274,25 @@ def kernel_step(c: Coefficients, here: np.ndarray, there: np.ndarray, *,
     measure(c.job, s, v if c.kappa == 1 else c.kappa * v, cold, (D, R, f),
             c.timed)
     fairness_vector(f, v, c.lam, out=F)
-    # the next row's fairness column holds the raw step until it is read
-    raw = np.multiply(c.eps, F, out=there[5])
-    total = project_bandwidth(np.add(v, raw, out=raw), c.upper,
-                              out=(there[1], clipped))[2]
-    service_step(c, s, f, idle=idle, out=there[0])
+    low, high, scale = c.low, c.high, c.scale
+    if low.ndim < here.ndim:
+        low, high, scale = (_lift(x, here.ndim) for x in (low, high, scale))
+    # the next row's (matching, fairness) columns hold the step until that
+    # row's own instant overwrites them
+    step = there[4:6]
+    np.multiply(c.eps, here[4:6] if scale is None
+                else np.multiply(scale, here[4:6], out=step), out=step)
+    new = np.add(here[0:2], step, out=there[0:2])
+    np.minimum(np.maximum(new, low, out=new), high, out=new)
+    np.copyto(there[0], s, where=idle)
+    total = np.add.reduce(there[1], axis=-1)
+    over = total > LIMIT
+    if clipped is not None or (np.logical_or.reduce(over, axis=None)
+                               if over.ndim else over):
+        raw = np.add(v, step[1])
+        if clipped is not None:
+            np.not_equal(there[1], raw, out=clipped)
+        remove_excess(there[1], raw, total, clipped)
     return total
 
 
@@ -391,7 +432,6 @@ def run_scenario(scenario) -> Trajectory:
     since = np.zeros_like(live)
     edges = sorted({0, steps, *(k for k in scenario.schedule if k < steps)})
     blocks, epochs = [], []
-    limit = 1.0 + SUM_TOL
     with np.errstate(**QUIET):
         for k0, k1 in zip(edges, edges[1:]):
             for row, join in scenario.schedule.get(k0, ()):
@@ -399,11 +439,14 @@ def run_scenario(scenario) -> Trajectory:
                     keep = live != row
                     live, since, s, v = (x[keep] for x in (live, since, s, v))
                     continue
-                # within the per-app cap that project_bandwidth enforces
-                seed = min(platform.step, 1.0 - float(v.sum()), platform.upper)
-                if seed <= 0.0:
+                # a pool within SUM_TOL of empty is full, as the projection
+                # reads a sum within SUM_TOL of 1
+                pool = 1.0 - float(v.sum())
+                if pool <= SUM_TOL:
                     raise AdmissionError(f"cannot admit {admitted[row].id!r}: "
                                          f"no unused bandwidth for the seed")
+                # within the per-app cap that project_bandwidth enforces
+                seed = min(platform.step, pool, platform.upper)
                 live, since = np.append(live, row), np.append(since, k0)
                 s = np.append(s, admitted[row].initial_service)
                 v = np.append(v, seed)
@@ -444,7 +487,7 @@ def run_scenario(scenario) -> Trajectory:
                                     cold=cold)
                 cold = None
                 # rows within the sum limit are the clip alone, in the box
-                if total > limit and (why := platform.breach(rec[i + 1, 1],
+                if total > LIMIT and (why := platform.breach(rec[i + 1, 1],
                                                              ids)):
                     raise InvariantViolation(
                         f"bandwidth allocation left the feasible set: {why}",

@@ -7,9 +7,10 @@ from hypothesis.extra import numpy as hnp
 
 from fairband import (ApplicationSpec, Coefficients, ConfigurationError,
                       InvariantViolation, JobModel, PlatformSpec, compile_apps,
-                      fairness_vector, make_state, rm_step, service_step)
+                      fairness_vector, kernel_step, make_state, rm_step)
 from fairband.adaptation import project_bandwidth
 from fairband.core import SUM_TOL
+from fairband.simkernel import QUIET, VALUES
 
 
 def _specs(weights):
@@ -135,12 +136,18 @@ class TestProjectBandwidth:
 
 
 def _service(s, f, eps, lo, hi=np.inf, cadence=1):
-    """One app's compensated service step, due at this instant."""
-    coef = Coefficients(job=(1.0, 0.0, 1.0, 0.0), lam=1.0, lo=lo, hi=hi,
+    """One app's compensated service step, due at this instant, through
+    kernel_step: at v = 1 the job C = 1 has response 1, so the deadline
+    1 + f gives the matching f exactly."""
+    coef = Coefficients(job=(0.0, 1.0, 1.0 + f, 0.0), lam=1.0, lo=lo, hi=hi,
                         cadence=cadence, gain=float(cadence), eps=eps,
                         kappa=1, upper=1.0)
-    return float(service_step(coef, np.float64(s), np.float64(f),
-                              idle=False))
+    rows = np.zeros((2, len(VALUES), 1))
+    rows[0, 0], rows[0, 1] = s, 1.0
+    with np.errstate(**QUIET):
+        kernel_step(coef, rows[0], rows[1], idle=False)
+    assert rows[0, 4, 0] == f
+    return float(rows[1, 0, 0])
 
 
 class TestAppSteps:
@@ -182,5 +189,6 @@ class TestAppSteps:
         coef = Coefficients(job=(1.0, 0.0, 1.0, 0.0), lam=1.0, lo=0.0,
                             hi=np.inf, cadence=1, gain=None, eps=0.1,
                             kappa=1, upper=1.0)
+        rows = np.ones((2, len(VALUES), 1))
         with pytest.raises(TypeError):
-            service_step(coef, np.float64(1.0), np.float64(0.5), True)
+            kernel_step(coef, rows[0], rows[1], True)

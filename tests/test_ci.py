@@ -1,10 +1,12 @@
 """The CI workflow runs ROADMAP's tier-1 command on the Pythons it names,
 with the test extra pyproject.toml declares. CI itself cannot run offline,
-so this checks what it would run."""
+so this checks what it would run, and the warnings it fails on."""
 
 import re
 from pathlib import Path
 
+import numpy as np
+import pytest
 import yaml
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -28,3 +30,21 @@ def test_test_extra_declares_the_test_tools():
     extra = re.search(r"^test = \[(.*?)\]", text, re.M | re.S).group(1)
     assert re.findall(r'"(\w+)', extra) == ["pytest", "hypothesis"]
     assert 'requires-python = ">=3.10"' in text
+
+
+def _clamp_with_a_positional_out(module):
+    """Run numpy's deprecated positional-`out` clamp from code whose module
+    is named `module`."""
+    code = compile("def clamp(x):\n    return np.maximum(x, 0.0, x)\n",
+                   module.replace(".", "/") + ".py", "exec")
+    scope = {"__name__": module, "np": np}
+    exec(code, scope)
+    return scope["clamp"](np.ones(3))
+
+
+def test_numpy_deprecations_from_fairband_code_fail():
+    with pytest.raises(DeprecationWarning, match="positional arguments"):
+        _clamp_with_a_positional_out("fairband.simkernel")
+    # attributed to any other module, the deprecation is only reported
+    with pytest.warns(DeprecationWarning, match="positional arguments"):
+        _clamp_with_a_positional_out("elsewhere")

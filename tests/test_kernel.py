@@ -19,12 +19,12 @@ from fairband import (AdmissionError, ApplicationSpec, Coefficients,
                       ConfigurationError, InvariantViolation, JobModel,
                       MembershipEvent, PlatformSpec, Scenario, compile_apps,
                       fairness_vector, kernel_step, parse_scenario,
-                      parse_scenario_text, run_scenario, service_step)
+                      parse_scenario_text, run_scenario)
 from fairband.cli import (EXIT_OK, main, read_trajectory_csv, run_bundle,
                           write_trajectory_csv)
 from fairband.core import SUM_TOL
 from fairband.simkernel import (QUIET, VALUES, Block, Trajectory, due_mask,
-                                gather, instant_time)
+                                gather, instant_time, project_service)
 
 COLUMNS = ("time",) + VALUES
 
@@ -321,6 +321,27 @@ def test_join_into_a_full_allocation_is_refused():
         run_scenario(_mixed(step=1.5))
 
 
+@pytest.mark.parametrize("k", [1, 2, 1000, 2 ** 14])
+def test_join_reads_a_pool_within_the_sum_tolerance_as_empty(k):
+    # the initial shares leave 1 - sum(v) = k * 2**-53: up to k = 1000 that
+    # is within SUM_TOL of an empty pool, which admission reads as full, as
+    # the projection reads a sum within SUM_TOL of 1; 2**14 ulps is above
+    s = _mixed()
+    shares = (0.5, 0.25, 0.25 - k * 2.0 ** -53)
+    s = dataclasses.replace(
+        s, apps=tuple(dataclasses.replace(a, initial_bandwidth=x)
+                      for a, x in zip(s.apps, shares)),
+        events=tuple(dataclasses.replace(e, time=0.0) for e in s.events
+                     if e.action == "join"))
+    pool = 1.0 - float(s.initial_state()[1].sum())
+    assert pool == k * 2.0 ** -53
+    if pool > SUM_TOL:
+        assert run_scenario(s).bandwidth[3] == pool
+        return
+    with pytest.raises(AdmissionError, match="cannot admit 'late': no unused"):
+        run_scenario(s)
+
+
 def _count_steps(monkeypatch):
     calls = [0]
     step = simkernel.kernel_step
@@ -467,6 +488,26 @@ def test_engine_matches_euler_oracle_on_every_job_kind(cores):
                               getattr(oracle, name).view(np.int64)), name
 
 
+def test_negative_zero_floor_clamps_to_positive_zero():
+    # sync5 with app5 a scarce synthetic app floored at -0.0: its service
+    # falls onto the floor, which every clamp reads as +0.0, in the engine
+    # and in the oracle alike
+    s = _short("sync5")
+    app5 = dataclasses.replace(
+        s.apps[4], min_service=-0.0,
+        model=dataclasses.replace(s.apps[4].model, b=2000.0))
+    s = dataclasses.replace(s, apps=(*s.apps[:4], app5))
+    engine = run_scenario(s)
+    oracle = run_scenario(dataclasses.replace(s, mode="ode_reference"))
+    for name in COLUMNS:
+        assert np.array_equal(getattr(engine, name).view(np.int64),
+                              getattr(oracle, name).view(np.int64)), name
+    service = engine.service[engine.app == "app5"]
+    floored = service[service == 0.0]
+    assert len(floored) >= 100
+    assert not np.signbit(floored).any()
+
+
 # (c1, c0, d0, d1) of a control, a synthetic and a multimedia app
 SELECTION_JOB = tuple(np.array(x) for x in zip(
     (0.0, 5.0, 0.0, 400.0), (30.0, 200.0, 300.0, 0.0),
@@ -513,7 +554,7 @@ def test_response_selection_matches_the_masked_form(case):
             kernel_step(coef, rows[0], rows[1], idle=False, cold=cold)
             # the later phases, fed the masked form's matching
             F = fairness_vector(want[2], v, coef.lam)
-            after = (service_step(coef, s, want[2], idle=False),
+            after = (project_service(coef, s + coef.eps * want[2]),
                      adaptation.project_bandwidth(v + coef.eps * F,
                                                   coef.upper)[0])
         for name, a, b in zip(("D", "R", "f", "F", "s'", "v'"),
@@ -558,6 +599,91 @@ def test_compiled_identities_match_the_general_form():
         for name, a, b in zip(("rows", "clipped", "total"), *out):
             assert a.shape == b.shape and a.dtype == b.dtype, name
             assert a.tobytes() == b.tobytes(), name
+
+
+# ordinary values, and in half the blocks those at the edges of the
+# kernel's arithmetic too (a nan in a row makes the whole row nan)
+def _values(draw, *common, lo, hi):
+    edges = [0.0, -0.0, np.nan, np.inf] if draw(st.booleans()) else []
+    return st.sampled_from([*edges, *common]) | st.floats(lo, hi)
+
+
+@st.composite
+def _kernel_case(draw):
+    """(Coefficients built for (n,) apps, an (n,) or (S, n) block of
+    (services, bandwidths), idle, cold, whether to ask for the mask)."""
+    n, ask = draw(st.integers(0, 8)), draw(st.booleans())
+    shape = draw(st.sampled_from([(n,), (draw(st.integers(1, 3)), n)]))
+    apps = st.lists(st.floats(0.0, 5.0), min_size=n, max_size=n)
+
+    def row(elements):
+        return np.array(draw(st.lists(elements, min_size=n, max_size=n)),
+                        dtype=float)
+
+    lo = row(st.sampled_from([0.0, -0.0]) | st.floats(0.0, 5.0))
+    hi = np.where(row(st.booleans()) > 0.0, np.inf, lo + np.array(
+        draw(apps)))
+    d1 = draw(st.one_of(st.none(), apps.map(
+        lambda x: np.where(np.array(x) > 2.5, x, 0.0))))
+    coef = Coefficients(
+        job=(np.array(draw(apps)), np.array(draw(apps)), row(
+            st.floats(0.1, 10.0)), d1),
+        lam=row(st.floats(0.0, 1.0)), lo=lo, hi=hi,
+        cadence=np.ones(n, dtype=int),
+        gain=draw(st.one_of(st.none(), st.lists(
+            st.integers(1, 5), min_size=n, max_size=n).map(
+                lambda x: np.array(x, dtype=float)))),
+        # a step that underflows to -0.0 at the smallest eps
+        eps=draw(st.sampled_from([5e-324, 0.05, 0.5]) | st.floats(1e-3, 2.0)),
+        kappa=draw(st.sampled_from([1, 2])),
+        upper=draw(st.sampled_from([0.5, 1.0]) | st.floats(0.05, 1.0)))
+    size = int(np.prod(shape))
+    block = [np.array(draw(st.lists(values, min_size=size, max_size=size)),
+                      dtype=float).reshape(shape)
+             for values in (_values(draw, 1.0, lo=0.0, hi=10.0),
+                            _values(draw, 0.3, 0.6, lo=-0.1, hi=0.7))]
+    # shares raised by 0.5 make rows that sum above 1
+    block[1] += draw(st.sampled_from([0.0, 0.5]))
+    masks = st.lists(st.booleans(), min_size=size, max_size=size).map(
+        lambda x: np.array(x, dtype=bool).reshape(shape))
+    idle = draw(st.one_of(st.just(False), masks))
+    cold = draw(st.one_of(st.none(), masks))
+    return coef, block, idle, cold, ask
+
+
+@settings(max_examples=60, deadline=None)
+@given(_kernel_case())
+def test_fused_kernel_equals_its_phases(case):
+    coef, (s, v), idle, cold, ask = case
+    rows = np.full((2, len(VALUES), *s.shape), np.nan)
+    rows[0, 0], rows[0, 1] = s, v
+    clipped = np.zeros(s.shape, dtype=bool) if ask else None
+    gain = 1.0 if coef.gain is None else coef.gain
+    with np.errstate(**QUIET):
+        total = kernel_step(coef, rows[0], rows[1], idle=idle, cold=cold,
+                            clipped=clipped)
+        # the phases one by one
+        D, R, f = simkernel.measure(coef.job, s, coef.kappa * v, cold,
+                                    timed=coef.timed)
+        F = fairness_vector(f, v, coef.lam)
+        v1, mask, sums = adaptation.project_bandwidth(v + coef.eps * F,
+                                                      coef.upper)
+        s1 = np.where(idle, s, project_service(
+            coef, s + coef.eps * (gain * f)))
+    want = [(D, rows[0, 2]), (R, rows[0, 3]), (f, rows[0, 4]),
+            (F, rows[0, 5]), (s1, rows[1, 0]), (v1, rows[1, 1]),
+            (sums, total)] + [(mask, clipped)] * ask
+    for name, (a, b) in zip(("D", "R", "f", "F", "s'", "v'", "total",
+                             "clipped"), want):
+        a, b = np.asarray(a), np.asarray(b)
+        assert a.shape == b.shape and a.dtype == b.dtype, name
+        # where two nans meet, which one a ufunc returns depends on its
+        # loop (vector body or scalar tail), so a nan's sign and payload
+        # are not compared; every other value is, bit for bit
+        nan = np.isnan(a) if a.dtype == float else np.zeros(a.shape, bool)
+        assert np.array_equal(nan, np.isnan(b) if b.dtype == float
+                              else nan), name
+        assert a[~nan].tobytes() == b[~nan].tobytes(), name
 
 
 @st.composite
