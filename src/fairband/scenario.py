@@ -7,12 +7,12 @@ given in milliseconds (`coeff_unit: ms`) of 1000 time-units each.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
-import yaml
 
 from .core import ApplicationSpec, JobModel, PlatformSpec
 from .errors import ConfigurationError
@@ -26,28 +26,36 @@ class _Mapping(dict):
     repeated: Tuple = ()
 
 
-# libyaml's loader when PyYAML was built with it; both build the same document
-class _Loader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
-    """The safe loader, except that each mapping notes the keys it repeats,
-    where the safe loader silently keeps the last value. A key next to a
-    `<<` merge overrides the merged one, as YAML defines; that is no
-    repeat."""
+@functools.cache
+def _loader():
+    """The loader of every config read, built by the first read, which is
+    the first to import PyYAML: a preset run never reads YAML."""
+    import yaml
 
-    def construct_yaml_map(self, node):
-        data = _Mapping()
-        yield data
-        # the mapping's own pairs, before its merges are flattened in
-        pairs = list(node.value)
-        data.update(self.construct_mapping(node))
-        if len(data) == len(node.value):
-            return          # no key given twice, none merged over
-        # every key is constructed by now, so this reads them back
-        keys = [self.construct_object(k) for k, _ in pairs
-                if k.tag != "tag:yaml.org,2002:merge"]
-        data.repeated = tuple(k for k in data if keys.count(k) > 1)
+    # libyaml's loader when PyYAML was built with it; both build the same
+    # document
+    class Loader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
+        """The safe loader, except that each mapping notes the keys it
+        repeats, where the safe loader silently keeps the last value. A key
+        next to a `<<` merge overrides the merged one, as YAML defines; that
+        is no repeat."""
 
+        def construct_yaml_map(self, node):
+            data = _Mapping()
+            yield data
+            # the mapping's own pairs, before its merges are flattened in
+            pairs = list(node.value)
+            data.update(self.construct_mapping(node))
+            if len(data) == len(node.value):
+                return          # no key given twice, none merged over
+            # every key is constructed by now, so this reads them back
+            keys = [self.construct_object(k) for k, _ in pairs
+                    if k.tag != "tag:yaml.org,2002:merge"]
+            data.repeated = tuple(k for k in data if keys.count(k) > 1)
 
-_Loader.add_constructor("tag:yaml.org,2002:map", _Loader.construct_yaml_map)
+    Loader.add_constructor("tag:yaml.org,2002:map", Loader.construct_yaml_map)
+    return Loader
+
 
 ALL_MODES = MODES + ("ode_reference",)
 
@@ -387,6 +395,7 @@ def scenario_from_dict(doc: Dict) -> Scenario:
 
 def emit(scenario: Scenario) -> str:
     """Serialize a scenario to the config text format."""
+    import yaml
     return yaml.safe_dump(scenario.echo(), sort_keys=False)
 
 
@@ -446,8 +455,9 @@ def parse_scenario_text(text: str) -> Scenario:
 def _from_yaml(text, where: str) -> Scenario:
     """A scenario from YAML text, or from bytes in a UTF encoding; `where`
     prefixes the message of a malformed document."""
+    import yaml
     try:
-        doc = yaml.load(text, Loader=_Loader)
+        doc = yaml.load(text, Loader=_loader())
     except yaml.YAMLError as exc:
         raise ConfigurationError(f"{where}malformed config: {exc}") from exc
     return scenario_from_dict(doc)

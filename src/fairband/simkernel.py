@@ -486,9 +486,10 @@ def run_scenario(scenario) -> Trajectory:
                 total = kernel_step(c, rec[i], rec[i + 1], idle=idle,
                                     cold=cold)
                 cold = None
-                # rows within the sum limit are the clip alone, in the box
-                if total > LIMIT and (why := platform.breach(rec[i + 1, 1],
-                                                             ids)):
+                # rows within the sum limit are the clip alone, in the box;
+                # a nan sum is no such row
+                if not total <= LIMIT and (why := platform.breach(
+                        rec[i + 1, 1], ids)):
                     raise InvariantViolation(
                         f"bandwidth allocation left the feasible set: {why}",
                         step=k0 + i)

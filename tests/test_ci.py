@@ -1,6 +1,7 @@
 """The CI workflow runs ROADMAP's tier-1 command on the Pythons it names,
-with the test extra pyproject.toml declares. CI itself cannot run offline,
-so this checks what it would run, and the warnings it fails on."""
+with the test extra pyproject.toml declares, then the installed package's
+console script. CI itself cannot run offline, so this checks what it would
+run, and the warnings it fails on."""
 
 import re
 from pathlib import Path
@@ -22,7 +23,9 @@ def test_workflow_runs_the_tier1_command():
     runs = [step["run"] for step in job["steps"] if "run" in step]
     tier1 = re.search(r"\*\*Tier-1 verify:\*\* `([^`]+)`",
                       (ROOT / "ROADMAP.md").read_text(encoding="utf-8"))
-    assert runs == ['python -m pip install ".[test]"', tier1.group(1)]
+    assert runs == ['python -m pip install ".[test]"', tier1.group(1),
+                    "fairband run async3 --horizon 1e6 --out ci-out && "
+                    "fairband compare ci-out ci-out"]
 
 
 def test_test_extra_declares_the_test_tools():

@@ -513,6 +513,32 @@ apps:
         code = main(["run", str(cfg), "--out", str(tmp_path / "out")])
         assert code == EXIT_INVARIANT
 
+    def test_run_refuses_a_state_that_turns_nan(self, tmp_path, capsys):
+        # ctl's deadline alpha/s overflows to inf at instant 0, so every
+        # bandwidth steps to nan, whose sum fails no `> limit` test
+        cfg = tmp_path / "s.yaml"
+        cfg.write_text("""
+name: overflow
+rm_period: 1.0
+horizon: 20.0
+platform: {cores: 1, step: 0.05}
+apps:
+  - id: ctl
+    weight: 1.0
+    min_service: 1.0e-9
+    initial_service: 1.0e-9
+    model: {kind: control, alpha: 1.0e300, beta: 1.0}
+  - id: syn
+    weight: 1.0
+    min_service: 0.0
+    initial_service: 10.0
+    model: {kind: synthetic, a: 20.0, b: 200.0, deadline: 1000.0}
+""")
+        code = main(["run", str(cfg), "--out", str(tmp_path / "out")])
+        assert code == EXIT_INVARIANT
+        assert re.search(r"invariant breach: step 0: .*app ctl has nan",
+                         capsys.readouterr().err)
+
     def test_run_io_failure(self, tmp_path):
         blocker = tmp_path / "file"
         blocker.write_text("occupied")
