@@ -7,7 +7,7 @@ from typing import Sequence, Set, Tuple
 
 import numpy as np
 
-from .core import (SUM_TOL, ZERO, ApplicationSpec, PlatformSpec,
+from .core import (LIMIT, SUM_TOL, ZERO, ApplicationSpec, PlatformSpec,
                    fairness_vector)
 from .errors import InvariantViolation
 
@@ -36,47 +36,29 @@ def _remove_excess(vnew: np.ndarray, excess: float, clipped: np.ndarray) -> np.n
     return v
 
 
-def project_bandwidth(raw: np.ndarray, upper: float, out=None
+def project_bandwidth(raw: np.ndarray, upper: float
                       ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Project unconstrained bandwidths onto the feasible set; the last axis
     is the app axis.
 
-    Each entry is clipped to [0, upper]. Where a row's sum then exceeds 1 the
-    excess is removed, clipped apps first, then proportionally. Returns the
-    projected bandwidths, the mask of apps the projection moved and the row
-    sums after the clip. A row whose sum is at most 1 + SUM_TOL is the clip
+    Each entry is clipped to [0, upper]. Where a row's sum then exceeds
+    LIMIT the excess is removed (see remove_excess). Returns the projected
+    bandwidths v, the mask v != raw of apps the projection moved, and the
+    row sums after the clip. A row whose sum is at most LIMIT is the clip
     alone, so it is feasible; only a row above that had its excess removed.
-    `out`, when given, is the (bandwidths, mask) pair to write the first two
-    into; either may be None, and a None mask is built only to remove an
-    excess (else None is returned). `raw` must not be one of them.
     """
-    v, clipped = (None, None) if out is None else out
-    v = np.maximum(raw, ZERO, out=v)
-    np.minimum(v, upper, out=v)
-    if out is None or clipped is not None:
-        clipped = np.not_equal(v, raw, out=clipped)
+    v = np.minimum(np.maximum(raw, ZERO), upper)
     total = np.add.reduce(v, axis=-1)
-    return v, remove_excess(v, raw, total, clipped), total
+    remove_excess(v, raw, total)
+    return v, v != raw, total
 
 
-def remove_excess(v: np.ndarray, raw: np.ndarray, total, clipped=None):
+def remove_excess(v: np.ndarray, raw: np.ndarray, total) -> None:
     """Remove, in place, the excess of each row of the clipped bandwidths
-    `v` whose sum `total` exceeds 1 + SUM_TOL; `raw` are the bandwidths
-    before the clip. Returns the mask of apps the projection moved, updated
-    in place when `clipped` gives the clip's mask; when it is None, the
-    mask is built only if some row has an excess, else None is returned.
-    """
-    over = total > 1.0 + SUM_TOL
-    # one row's test is a numpy bool; the ufunc reduce over many rows skips
-    # ndarray.any's Python wrapper
-    if not (np.logical_or.reduce(over, axis=None) if over.ndim else over):
-        return clipped
-    clipped = np.not_equal(v, raw) if clipped is None else clipped
-    box = v.copy()
-    for row in map(tuple, np.argwhere(over)):
-        v[row] = _remove_excess(box[row], total[row] - 1.0, clipped[row])
-    np.logical_or(clipped, v != box, out=clipped)
-    return clipped
+    `v` whose sum `total` exceeds LIMIT; `raw` are the bandwidths before
+    the clip. The apps the clip moved, v != raw, give theirs up first."""
+    for row in map(tuple, np.argwhere(total > LIMIT)):
+        v[row] = _remove_excess(v[row], total[row] - 1.0, v[row] != raw[row])
 
 
 def rm_step(state: Tuple[np.ndarray, np.ndarray],
@@ -86,7 +68,7 @@ def rm_step(state: Tuple[np.ndarray, np.ndarray],
     """One bandwidth-adaptation step.
 
     Each normalized bandwidth moves by step * F_i and is projected onto
-    [0, platform.upper], with any sum above 1 removed (see
+    [0, platform.upper], with any sum above LIMIT removed (see
     project_bandwidth).
     """
     _, vbar = state

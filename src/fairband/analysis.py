@@ -7,7 +7,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from .core import SUM_TOL, PlatformSpec
+from .core import LIMIT, SUM_TOL, PlatformSpec
 from .errors import ConfigurationError
 from .simkernel import Trajectory
 
@@ -79,8 +79,8 @@ def sweep_invariants(trajectory: Trajectory,
     inst = np.repeat(np.arange(len(sizes)), sizes)
     sums = np.bincount(inst, weights=v, minlength=len(sizes))
     # the instants whose sum, or some share, leaves the feasible set
-    bad = ~(sums <= 1.0 + SUM_TOL)
-    bad[inst[~((v >= -SUM_TOL) & (v <= platform.upper + SUM_TOL))]] = True
+    bad = ~(sums <= LIMIT)
+    bad[inst[platform.outside(v)]] = True
     # the first row of a bad instant, and the first starved row
     feas_at, starve_at = (float(trajectory.time[r][0]) if r.any() else None
                           for r in (bad[inst], ~(v > platform.step)))

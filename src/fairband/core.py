@@ -17,6 +17,9 @@ from .errors import ConfigurationError
 
 # absolute tolerance for bookkeeping identities (bandwidth sums etc.)
 SUM_TOL = 1e-12
+# the most a feasible bandwidth row may sum to; a projection removes the
+# excess of a row above it
+LIMIT = 1.0 + SUM_TOL
 # the step kernel keeps update cadences in int64 arrays
 MAX_UPDATE_JOBS = int(np.iinfo(np.int64).max)
 # the kernel's literals as read-only arrays: a ufunc takes an array operand
@@ -194,8 +197,9 @@ class PlatformSpec:
         if not 1 <= self.cores <= sys.float_info.max:
             raise ConfigurationError(
                 f"cores must be in [1, {sys.float_info.max!r}]")
-        if not (self.step > 0.0):
-            raise ConfigurationError("step must be positive")
+        # an infinite step turns the first stepped state nan
+        if not (0.0 < self.step < math.inf):
+            raise ConfigurationError("step must be positive and finite")
         if not (self.match_tol > 0.0):
             raise ConfigurationError("match_tol must be positive")
         if not (0.0 < self.max_total_bandwidth <= 1.0):
@@ -206,16 +210,20 @@ class PlatformSpec:
         """The per-app cap on a normalized bandwidth."""
         return self.max_total_bandwidth / self.cores
 
+    def outside(self, v: np.ndarray) -> np.ndarray:
+        """The mask of the normalized bandwidths `v` outside [0, upper], to
+        within SUM_TOL; a nan share is outside."""
+        # a negated test, so that a nan share fails it
+        return ~((v >= -SUM_TOL) & (v <= self.upper + SUM_TOL))
+
     def breach(self, bandwidths, ids: Sequence[str]) -> Optional[str]:
         """None when the normalized bandwidths lie in [0, upper] and sum to
-        at most 1, to within SUM_TOL; otherwise the first app outside the
-        box (named from `ids`) with its value, else the sum."""
+        at most LIMIT; otherwise the first app outside the box (named from
+        `ids`) with its value, else the sum."""
         v = np.asarray(bandwidths, dtype=float)
-        # negated tests, so that a nan share or sum fails them
-        for i in np.flatnonzero(~((v >= -SUM_TOL)
-                                  & (v <= self.upper + SUM_TOL))):
+        for i in np.flatnonzero(self.outside(v)):
             return f"app {ids[i]} has {v[i]}, outside [0, {self.upper}]"
-        if not (v.sum() <= 1.0 + SUM_TOL):
+        if not (v.sum() <= LIMIT):
             return f"the sum is {v.sum()}, above 1"
         return None
 

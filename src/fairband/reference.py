@@ -9,7 +9,8 @@ from typing import Sequence, Set, Tuple
 import numpy as np
 
 from .adaptation import project_bandwidth
-from .core import SUM_TOL, ApplicationSpec, PlatformSpec, fairness_vector
+from .core import (LIMIT, SUM_TOL, ApplicationSpec, PlatformSpec,
+                   fairness_vector)
 from .errors import ConfigurationError, ConvergenceError
 from .simkernel import (QUIET, VALUES, Trajectory, check_budget,
                         compile_apps, instant_time, instants,
@@ -120,7 +121,7 @@ def solve_stationary_point(specs: Sequence[ApplicationSpec],
     if not demanding:
         # zero-matching allocation: beta * kappa * vbar / floor = 1
         v0 = floor / (beta * kappa)
-        if np.all(v0 <= cap + SUM_TOL) and v0.sum() <= 1.0 + SUM_TOL:
+        if np.all(v0 <= cap + SUM_TOL) and v0.sum() <= LIMIT:
             v0 = np.minimum(v0, cap)
             return StationaryPoint(floor.copy(), v0, residuals(v0), set())
         raise ConfigurationError(

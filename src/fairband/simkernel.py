@@ -17,7 +17,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from .adaptation import remove_excess
-from .core import (ONE, SUM_TOL, ZERO, ApplicationSpec, JobModel,
+from .core import (LIMIT, ONE, SUM_TOL, ZERO, ApplicationSpec, JobModel,
                    PlatformSpec, fairness_vector)
 from .errors import AdmissionError, ConfigurationError, InvariantViolation
 
@@ -37,9 +37,6 @@ QUIET = dict(divide="ignore", invalid="ignore", over="ignore")
 # joined Trajectory, about 120 bytes in all, so this bounds a run's arrays
 # at about 1.2 GB.
 MAX_APP_STEPS = 10_000_000
-
-# a bandwidth row whose sum exceeds this has its excess removed
-LIMIT = 1.0 + SUM_TOL
 
 
 def instants(horizon: float, period: float) -> int:
@@ -226,12 +223,11 @@ def gather(c: Coefficients, live: np.ndarray) -> Coefficients:
         gain=None if gain is None or (gain == 1.0).all() else gain)
 
 
-def project_service(c: Coefficients, services: np.ndarray, out=None
-                    ) -> np.ndarray:
-    """Clamp service levels onto each app's [floor, ceiling], into `out`
-    when given. Each clamp takes (value, bound), as kernel_step's does, so
-    the two give the same bits."""
-    return np.minimum(np.maximum(services, c.lo, out=out), c.hi, out=out)
+def project_service(c: Coefficients, services: np.ndarray) -> np.ndarray:
+    """Clamp service levels onto each app's [floor, ceiling]. Each clamp
+    takes (value, bound), as kernel_step's does, so the two give the same
+    bits."""
+    return np.minimum(np.maximum(services, c.lo), c.hi)
 
 
 def due_mask(c: Coefficients, since: np.ndarray, k0: int, k1: int
@@ -243,7 +239,7 @@ def due_mask(c: Coefficients, since: np.ndarray, k0: int, k1: int
 
 
 def kernel_step(c: Coefficients, here: np.ndarray, there: np.ndarray, *,
-                idle, cold=None, clipped=None) -> np.ndarray:
+                idle, cold=None) -> np.ndarray:
     """Advance services and normalized bandwidths by one manager instant,
     in place.
 
@@ -255,18 +251,17 @@ def kernel_step(c: Coefficients, here: np.ndarray, there: np.ndarray, *,
     e.g. (S, n) for S scenarios side by side. `idle` masks the apps that
     keep their service at this instant (~due_mask); `cold` masks the apps
     at their cold start, the instant they joined, or is None when no app
-    is. `clipped`, when given, receives the mask of apps the bandwidth
-    projection moved. The phases are: measure every app, form the
-    fairness signal, then step both recursions as one (2, ...) block: the
-    state here[0:2] plus eps * (gain * matching, fairness), clamped to
-    (c.low, c.high), the box of project_service over that of
-    project_bandwidth. The apps in `idle` then keep their service, and a
-    row whose sum exceeds 1 + SUM_TOL has its excess removed.
+    is. The phases are: measure every app, form the fairness signal, then
+    step both recursions as one (2, ...) block: the state here[0:2] plus
+    eps * (gain * matching, fairness), clamped to (c.low, c.high), the box
+    of project_service over that of project_bandwidth. The apps in `idle`
+    then keep their service, and a row whose sum exceeds LIMIT has its
+    excess removed.
 
     Returns the bandwidth row sums before excess removal. A row whose sum
-    exceeds 1 + SUM_TOL had its excess removed; every other row is
-    feasible by construction (see project_bandwidth). The caller runs its
-    step loop under np.errstate(**QUIET).
+    exceeds LIMIT had its excess removed; every other row is feasible by
+    construction (see project_bandwidth). The caller runs its step loop
+    under np.errstate(**QUIET).
     """
     # indexing takes the six views faster than unpacking the array
     s, v, D, R, f, F = (here[0], here[1], here[2], here[3], here[4],
@@ -286,13 +281,12 @@ def kernel_step(c: Coefficients, here: np.ndarray, there: np.ndarray, *,
     np.minimum(np.maximum(new, low, out=new), high, out=new)
     np.copyto(there[0], s, where=idle)
     total = np.add.reduce(there[1], axis=-1)
+    # only a row above the limit recomputes the raw step v + eps * F, the
+    # same bits as the clamp's operand. One row's test is a numpy bool; the
+    # ufunc reduce over many rows skips ndarray.any's Python wrapper
     over = total > LIMIT
-    if clipped is not None or (np.logical_or.reduce(over, axis=None)
-                               if over.ndim else over):
-        raw = np.add(v, step[1])
-        if clipped is not None:
-            np.not_equal(there[1], raw, out=clipped)
-        remove_excess(there[1], raw, total, clipped)
+    if np.logical_or.reduce(over, axis=None) if over.ndim else over:
+        remove_excess(there[1], np.add(v, step[1]), total)
     return total
 
 

@@ -67,18 +67,20 @@ def run_batch(alpha, deadline, lam, s0, v0, s_floor, eps, steps,
     # chunk's statistics are then taken in whole-array operations.
     rec = np.empty((CHUNK + 1, len(VALUES), S, n))
     rec[0, 0], rec[0, 1] = s, v
-    clipped = np.empty((CHUNK, S, n), dtype=bool)
     cold = True  # every app starts cold
     with np.errstate(**QUIET):
         for k0 in range(0, steps, CHUNK):
             m = min(CHUNK, steps - k0)
             for i in range(m):
-                kernel_step(coef, rec[i], rec[i + 1], idle=False, cold=cold,
-                            clipped=clipped[i])
+                kernel_step(coef, rec[i], rec[i + 1], idle=False, cold=cold)
                 cold = None
             # the bandwidth sums entering each instant and leaving the last
             sums = rec[:m + 1, 1].sum(axis=-1)
             v = rec[1:m + 1, 1]
+            # the apps the projection moved: the bandwidths left each
+            # instant against the raw step v + eps * F, the same bits as
+            # the kernel's
+            moved = v != rec[:m, 1] + eps * rec[:m, 5]
             # one-core accounting on steps the projection left alone:
             # (sum - 1) contracts by (1 + eps * sum lam*min(f, 0))
             drift = (sums[:-1] - 1.0) * (1.0 + eps[:, 0] * (
@@ -87,7 +89,7 @@ def run_batch(alpha, deadline, lam, s0, v0, s_floor, eps, steps,
             # a nan bandwidth counts as moved by the projection (nan !=
             # nan), but its nan error is kept, not passed over
             ident_err = _fold(ident_err, err.max(
-                axis=-1, where=~clipped[:m].any(axis=-1) | np.isnan(err),
+                axis=-1, where=~moved.any(axis=-1) | np.isnan(err),
                 initial=0.0))
 
             min_v = np.minimum(min_v, (v + big).min(axis=(0, 2)))

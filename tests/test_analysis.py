@@ -8,8 +8,8 @@ from fairband import (ApplicationSpec, ConfigurationError, JobModel,
                       PlatformSpec, Scenario, convergence_report,
                       interpolate, run_scenario, solve_stationary_point,
                       sup_deviation_per_app, sweep_invariants)
-from fairband.core import SUM_TOL
-from fairband.simkernel import Trajectory
+from fairband.core import LIMIT, SUM_TOL
+from fairband.simkernel import Coefficients, Trajectory
 
 
 def _path(times, values, aid="a0"):
@@ -251,6 +251,54 @@ class TestSweepInvariants:
             assert rep.starvation_ok == all(v > platform.step for v in vals)
             assert rep.max_sum == vals.max()
             assert rep.min_bandwidth == vals.min()
+
+
+# platforms of cap 1, 0.9, 0.5 and 1/3
+EDGE_PLATFORMS = [PlatformSpec(), PlatformSpec(max_total_bandwidth=0.9),
+                  PlatformSpec(cores=2), PlatformSpec(cores=3)]
+
+
+@st.composite
+def _edge_row(draw):
+    """(platform, row): up to six shares at the edges of the feasible set,
+    the last one set, in half the rows, to bring the sum near LIMIT. Up to
+    seven shares, numpy's sum and the sweep's bincount add in one order."""
+    platform = draw(st.sampled_from(EDGE_PLATFORMS))
+    up = platform.upper
+    edges = [-SUM_TOL, -2.0 * SUM_TOL, 0.0, -0.0, up, up + SUM_TOL,
+             up - SUM_TOL, up + 2.0 * SUM_TOL, math.nan, math.inf, -math.inf]
+    row = draw(st.lists(st.sampled_from(edges) | st.floats(-0.1, up + 0.1),
+                        min_size=1, max_size=6))
+    if draw(st.booleans()):
+        target = draw(st.sampled_from([1.0, LIMIT, np.nextafter(LIMIT, 2.0),
+                                       np.nextafter(LIMIT, 0.0),
+                                       1.0 + 2.0 * SUM_TOL]))
+        row[-1] = target - sum(row[:-1])
+    return platform, np.array(row)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_edge_row())
+@example((PlatformSpec(), np.array([math.inf, -math.inf])))
+@example((PlatformSpec(), np.array([0.5, LIMIT - 0.5])))
+@example((PlatformSpec(cores=2), np.array([0.5 + SUM_TOL, 0.5])))
+def test_every_checker_of_the_feasible_set_agrees(case):
+    platform, v = case
+    ids = [f"a{i}" for i in range(len(v))]
+    feasible = not platform.outside(v).any() and v.sum() <= LIMIT
+    assert (platform.breach(v, ids) is None) == feasible
+    traj = _fake_trajectory([0.0], [dict(zip(ids, v))])
+    assert sweep_invariants(traj, platform).feasibility_ok == feasible
+    # the kernel's clamp onto its stacked bounds, (lo, 0) and (hi, upper):
+    # a clamped row within LIMIT is in the box, so run_scenario skips its
+    # breach test
+    c = Coefficients(job=(0.0, 0.0, 1.0, None), lam=1.0, lo=0.0, hi=math.inf,
+                     cadence=1, gain=None, eps=platform.step,
+                     kappa=platform.cores, upper=platform.upper)
+    with np.errstate(invalid="ignore"):
+        row = np.minimum(np.maximum(v, c.low[1]), c.high[1])
+    if row.sum() <= LIMIT:
+        assert not platform.outside(row).any()
 
 
 class TestConvergenceReport:

@@ -1,7 +1,8 @@
 """The CI workflow runs ROADMAP's tier-1 command on the Pythons it names,
 with the test extra pyproject.toml declares, then the installed package's
-console script. CI itself cannot run offline, so this checks what it would
-run, and the warnings it fails on."""
+console script, then each bench workload's own output checks. CI itself
+cannot run offline, so this checks what it would run, and the warnings it
+fails on."""
 
 import re
 from pathlib import Path
@@ -25,7 +26,11 @@ def test_workflow_runs_the_tier1_command():
                       (ROOT / "ROADMAP.md").read_text(encoding="utf-8"))
     assert runs == ['python -m pip install ".[test]"', tier1.group(1),
                     "fairband run async3 --horizon 1e6 --out ci-out && "
-                    "fairband compare ci-out ci-out"]
+                    "fairband compare ci-out ci-out",
+                    "for w in async3 wide churn; do python3 bench/run.py "
+                    '--workload "$w" --seconds 1 | tail -n 1 | python3 -c '
+                    "'import json, sys; sys.exit(json.load(sys.stdin)"
+                    '["correct"] is not True)\' || exit 1; done']
 
 
 def test_test_extra_declares_the_test_tools():

@@ -588,15 +588,14 @@ def test_compiled_identities_match_the_general_form():
     for cold in (None, rng.random((S, n)) < 0.5):
         out = []
         for coef in (general, compiled):
-            # an entering row and the next, and the clipped mask
+            # an entering row and the next
             rows = np.full((2, len(VALUES), S, n), np.nan)
             rows[0, 0], rows[0, 1] = s, v
-            clipped = np.zeros((S, n), dtype=bool)
             with np.errstate(**QUIET):
                 total = kernel_step(coef, rows[0], rows[1], idle=idle,
-                                    cold=cold, clipped=clipped)
-            out.append((rows, clipped, total))
-        for name, a, b in zip(("rows", "clipped", "total"), *out):
+                                    cold=cold)
+            out.append((rows, total))
+        for name, a, b in zip(("rows", "total"), *out):
             assert a.shape == b.shape and a.dtype == b.dtype, name
             assert a.tobytes() == b.tobytes(), name
 
@@ -611,8 +610,8 @@ def _values(draw, *common, lo, hi):
 @st.composite
 def _kernel_case(draw):
     """(Coefficients built for (n,) apps, an (n,) or (S, n) block of
-    (services, bandwidths), idle, cold, whether to ask for the mask)."""
-    n, ask = draw(st.integers(0, 8)), draw(st.booleans())
+    (services, bandwidths), idle, cold)."""
+    n = draw(st.integers(0, 8))
     shape = draw(st.sampled_from([(n,), (draw(st.integers(1, 3)), n)]))
     apps = st.lists(st.floats(0.0, 5.0), min_size=n, max_size=n)
 
@@ -648,33 +647,31 @@ def _kernel_case(draw):
         lambda x: np.array(x, dtype=bool).reshape(shape))
     idle = draw(st.one_of(st.just(False), masks))
     cold = draw(st.one_of(st.none(), masks))
-    return coef, block, idle, cold, ask
+    return coef, block, idle, cold
 
 
 @settings(max_examples=60, deadline=None)
 @given(_kernel_case())
 def test_fused_kernel_equals_its_phases(case):
-    coef, (s, v), idle, cold, ask = case
+    coef, (s, v), idle, cold = case
     rows = np.full((2, len(VALUES), *s.shape), np.nan)
     rows[0, 0], rows[0, 1] = s, v
-    clipped = np.zeros(s.shape, dtype=bool) if ask else None
     gain = 1.0 if coef.gain is None else coef.gain
     with np.errstate(**QUIET):
-        total = kernel_step(coef, rows[0], rows[1], idle=idle, cold=cold,
-                            clipped=clipped)
+        total = kernel_step(coef, rows[0], rows[1], idle=idle, cold=cold)
         # the phases one by one
         D, R, f = simkernel.measure(coef.job, s, coef.kappa * v, cold,
                                     timed=coef.timed)
         F = fairness_vector(f, v, coef.lam)
-        v1, mask, sums = adaptation.project_bandwidth(v + coef.eps * F,
-                                                      coef.upper)
+        v1, _, sums = adaptation.project_bandwidth(v + coef.eps * F,
+                                                   coef.upper)
         s1 = np.where(idle, s, project_service(
             coef, s + coef.eps * (gain * f)))
     want = [(D, rows[0, 2]), (R, rows[0, 3]), (f, rows[0, 4]),
             (F, rows[0, 5]), (s1, rows[1, 0]), (v1, rows[1, 1]),
-            (sums, total)] + [(mask, clipped)] * ask
-    for name, (a, b) in zip(("D", "R", "f", "F", "s'", "v'", "total",
-                             "clipped"), want):
+            (sums, total)]
+    for name, (a, b) in zip(("D", "R", "f", "F", "s'", "v'", "total"),
+                            want):
         a, b = np.asarray(a), np.asarray(b)
         assert a.shape == b.shape and a.dtype == b.dtype, name
         # where two nans meet, which one a ufunc returns depends on its

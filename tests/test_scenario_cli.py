@@ -910,6 +910,28 @@ apps:
         assert "platform: cores" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    # an infinite step passes a test of step > 0 alone, and the first
+    # stepped state is nan: the engine then breached, the oracle wrote nan
+    # rows. Both refuse it, and so does the --step flag
+    @pytest.mark.parametrize("mode", ["sync", "ode_reference"])
+    def test_run_refuses_an_infinite_step(self, tmp_path, capsys, mode):
+        doc = _sync5_doc(horizon=20.0 * MS)
+        doc["platform"]["step"] = math.inf
+        cfg = tmp_path / "s.yaml"
+        cfg.write_text(yaml.safe_dump(doc))
+        assert main(["run", str(cfg), "--mode", mode,
+                     "--out", str(tmp_path / "out")]) == EXIT_VALIDATION
+        assert "platform: step must be positive and finite" \
+            in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_run_refuses_an_infinite_step_flag(self, tmp_path, capsys):
+        assert main(["run", "sync5", "--step", "inf",
+                     "--out", str(tmp_path / "out")]) == EXIT_VALIDATION
+        assert "validation error: step must be positive and finite" \
+            in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     # a key given twice in one mapping: YAML would keep the last value
     @pytest.mark.parametrize("old, new, field", [
         ("horizon: 5000000.0\n", "horizon: 5000000.0\nhorizon: 1000.0\n",
