@@ -9,7 +9,7 @@ import numpy as np
 
 from .core import LIMIT, SUM_TOL, PlatformSpec
 from .errors import ConfigurationError
-from .simkernel import Trajectory
+from .simkernel import QUIET, Trajectory
 
 # {app id: (times, values)}: per-app paths, piecewise constant with the value
 # over [t_k, t_{k+1}) being the t_k sample
@@ -72,18 +72,18 @@ def sweep_invariants(trajectory: Trajectory,
                      platform: PlatformSpec) -> InvariantReport:
     """Check the run against the feasibility and starvation guarantees,
     which a nan share or instant sum fails."""
-    v, blocks = trajectory.bandwidth, trajectory.blocks
-    # each row's instant; bincount adds an instant's shares in row order
-    sizes = np.repeat(np.array([b.n for b in blocks], dtype=np.intp),
-                      [b.T for b in blocks])
-    inst = np.repeat(np.arange(len(sizes)), sizes)
-    sums = np.bincount(inst, weights=v, minlength=len(sizes))
-    # the instants whose sum, or some share, leaves the feasible set
-    bad = ~(sums <= LIMIT)
-    bad[inst[platform.outside(v)]] = True
-    # the first row of a bad instant, and the first starved row
+    v = trajectory.bandwidth
+    # each row's instant sum, added in numpy's pairwise order as breach and
+    # the kernel add a row; inf - inf sums to nan, which fails below
+    with np.errstate(**QUIET):
+        sums = np.concatenate([np.empty(0)] + [np.repeat(
+            np.add.reduce(v[b.lo:b.hi].reshape(b.T, b.n), axis=-1), b.n)
+            for b in trajectory.blocks])
+    # the first row of an instant whose sum, or some share, leaves the
+    # feasible set, and the first starved row
     feas_at, starve_at = (float(trajectory.time[r][0]) if r.any() else None
-                          for r in (bad[inst], ~(v > platform.step)))
+                          for r in (~(sums <= LIMIT) | platform.outside(v),
+                                    ~(v > platform.step)))
     return InvariantReport(feas_at is None, starve_at is None, feas_at,
                            starve_at, float(sums.max()) if sums.size else 0.0,
                            float(v.min()) if v.size else 0.0)

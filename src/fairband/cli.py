@@ -32,7 +32,6 @@ CSV_HEADER = ",".join(("time", "app") + VALUES)
 # one record per CSV row; the app id is the only non-float field
 _CSV_ROW = np.dtype([(name, object if name == "app" else float)
                      for name in CSV_HEADER.split(",")])
-_CSV_LINE = ",".join(["%s"] * len(_CSV_ROW.names)) + "\n"
 # rows formatted per write: the strings of one chunk are all the writer
 # holds, where a whole-file join grows the process by the file's size
 _CSV_CHUNK = 1024
@@ -43,12 +42,12 @@ EXIT_INVARIANT = 3
 EXIT_IO = 4
 
 
-def _format_distinct(column: np.ndarray) -> np.ndarray:
+def _format_distinct(column: np.ndarray) -> List[str]:
     """`%.17g` text of a float64 column, formatting each distinct bit
     pattern once (so -0.0 keeps its sign next to 0.0)."""
     bits, inverse = np.unique(column.view(np.int64), return_inverse=True)
     text = ("%.17g\n" * len(bits) % tuple(bits.view(np.float64).tolist()))
-    return np.array(text.split("\n"), dtype=object)[inverse]
+    return np.array(text.split("\n"), dtype=object)[inverse].tolist()
 
 
 def write_trajectory_csv(traj: Trajectory, path: Path) -> None:
@@ -60,12 +59,10 @@ def write_trajectory_csv(traj: Trajectory, path: Path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(CSV_HEADER + "\n")
         for lo in range(0, len(traj), _CSV_CHUNK):
-            hi = min(lo + _CSV_CHUNK, len(traj))
-            cells = np.empty((hi - lo, len(columns)), dtype=object)
-            for j, col in enumerate(columns):
-                cells[:, j] = (col[lo:hi] if col is traj.app
-                               else _format_distinct(col[lo:hi]))
-            fh.write(_CSV_LINE * (hi - lo) % tuple(cells.ravel().tolist()))
+            rows = slice(lo, lo + _CSV_CHUNK)
+            cells = [col[rows].tolist() if col is traj.app
+                     else _format_distinct(col[rows]) for col in columns]
+            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
 def read_trajectory_csv(path: Path) -> Trajectory:
@@ -173,6 +170,12 @@ def compare_bundles(dir_a: Path, dir_b: Path) -> Dict:
         if not traj.rises_per_app():
             raise ConfigurationError(
                 f"{path}: an app's times are not strictly increasing")
+    ids_a, ids_b = ({a for blk in t.blocks for a in blk.ids} for t in (ta, tb))
+    if ids_a != ids_b:
+        raise ConfigurationError(
+            f"{dir_a} and {dir_b} hold different apps: " + "; ".join(
+                f"{d} lacks {', '.join(sorted(ids)[:5]) or 'none'}"
+                for d, ids in ((dir_a, ids_b - ids_a), (dir_b, ids_a - ids_b))))
     summary_path = dir_a / "summary.json"
     with open(summary_path, "r", encoding="utf-8") as fh:
         try:
@@ -185,14 +188,11 @@ def compare_bundles(dir_a: Path, dir_b: Path) -> Dict:
                 f"{summary_path}: unreadable run summary: {exc!r}") from exc
     horizon = float(min(ta.time.max(), tb.time.max()))
     bound = sum(reference.equivalence_bound(step, ell, n_bar))
-    report: Dict = {"horizon": horizon, "fields": {}}
-    for fieldname in ("service", "bandwidth"):
-        report["fields"][fieldname] = analysis.sup_deviation_per_app(
-            *(analysis.interpolate(t, fieldname) for t in (ta, tb)), horizon)
-    report["equivalence_bound"] = bound
-    report["within_bound"] = all(
-        v <= bound for v in report["fields"]["service"].values())
-    return report
+    fields = {f: analysis.sup_deviation_per_app(
+        *(analysis.interpolate(t, f) for t in (ta, tb)), horizon)
+        for f in ("service", "bandwidth")}
+    return {"horizon": horizon, "fields": fields, "equivalence_bound": bound,
+            "within_bound": all(v <= bound for v in fields["service"].values())}
 
 
 # built once per process: parse_args leaves the parser as it was

@@ -260,15 +260,17 @@ EDGE_PLATFORMS = [PlatformSpec(), PlatformSpec(max_total_bandwidth=0.9),
 
 @st.composite
 def _edge_row(draw):
-    """(platform, row): up to six shares at the edges of the feasible set,
-    the last one set, in half the rows, to bring the sum near LIMIT. Up to
-    seven shares, numpy's sum and the sweep's bincount add in one order."""
+    """(platform, row): up to 64 shares at the edges of the feasible set,
+    the last one set, in half the rows, to bring the sum near LIMIT. From
+    eight shares on, numpy's pairwise sum keeps eight partial sums, so a
+    checker that adds a row one share at a time can disagree in the last
+    bit."""
     platform = draw(st.sampled_from(EDGE_PLATFORMS))
     up = platform.upper
     edges = [-SUM_TOL, -2.0 * SUM_TOL, 0.0, -0.0, up, up + SUM_TOL,
              up - SUM_TOL, up + 2.0 * SUM_TOL, math.nan, math.inf, -math.inf]
     row = draw(st.lists(st.sampled_from(edges) | st.floats(-0.1, up + 0.1),
-                        min_size=1, max_size=6))
+                        min_size=1, max_size=64))
     if draw(st.booleans()):
         target = draw(st.sampled_from([1.0, LIMIT, np.nextafter(LIMIT, 2.0),
                                        np.nextafter(LIMIT, 0.0),
@@ -282,6 +284,8 @@ def _edge_row(draw):
 @example((PlatformSpec(), np.array([math.inf, -math.inf])))
 @example((PlatformSpec(), np.array([0.5, LIMIT - 0.5])))
 @example((PlatformSpec(cores=2), np.array([0.5 + SUM_TOL, 0.5])))
+# 16 shares: the pairwise sum is LIMIT, a one-by-one sum an ulp above it
+@example((PlatformSpec(), np.r_[[0.05] * 15, 0.2500000000010002]))
 def test_every_checker_of_the_feasible_set_agrees(case):
     platform, v = case
     ids = [f"a{i}" for i in range(len(v))]

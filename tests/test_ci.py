@@ -25,7 +25,7 @@ def test_workflow_runs_the_tier1_command():
     tier1 = re.search(r"\*\*Tier-1 verify:\*\* `([^`]+)`",
                       (ROOT / "ROADMAP.md").read_text(encoding="utf-8"))
     assert runs == ['python -m pip install ".[test]"', tier1.group(1),
-                    "fairband run async3 --horizon 1e6 --out ci-out && "
+                    "fairband run async3 --out ci-out && "
                     "fairband compare ci-out ci-out",
                     "for w in async3 wide churn; do python3 bench/run.py "
                     '--workload "$w" --seconds 1 | tail -n 1 | python3 -c '

@@ -261,15 +261,15 @@ def test_trajectory_digest_pinned(name, tmp_path):
 
 # summary.json as run_bundle writes it: the invariant sweep, bounds,
 # final values and the convergence verdict of five pinned runs. wide's
-# max_sum pins that each instant's shares are added in row order (a
-# pairwise sum moves it); rejoin-last's verdict, that two epochs over one
-# id tuple are read as one
+# max_sum pins that each instant's shares are added in numpy's pairwise
+# order, as breach and the kernel add them (a one-by-one sum moves it);
+# rejoin-last's verdict, that two epochs over one id tuple are read as one
 SUMMARY_PINNED = {
     "sync5": "d79f7e903f14f0451be5f5443999ca5de51dc679f59e41cda9468f33723816bb",
     "async3-5e7-compensated":
         "c12b017c25ead058cd466e6e86cc58bb20aac49b73dfd19b6e448fa4f170e723",
     "mixed": "05f6cc94cf5f23a869048e90c6625c3ca3a95dc2b9e632ccd95961915d0bf711",
-    "wide": "6a56a7d7a2d7b4158afe76f00662bf71c28feea8176fad8c9bd2e9880b1a9432",
+    "wide": "3bf2840e6b0954a99823d0e73d09af6aa4eb9b6077861cc6327fb9e79c0bc8cd",
     "rejoin-last":
         "0ec6ba9125f01440c10b3288b69f7c9c867c0a5911a0a0a2c8e5de43bc8bea77",
 }

@@ -56,6 +56,41 @@ def _assert_writers_agree(traj, tmp_path):
     return new
 
 
+# values a chunk may repeat, shared by every float column
+CSV_POOL = np.array([-0.0, 0.0, math.inf, -math.inf, math.nan, 5e-324,
+                     1.0 / 3.0, 0.1])
+# printable text without ',', what an app id may be, often with a
+# comment, template or non-ASCII character or a space
+CSV_IDS = st.text(st.sampled_from("#%s é") |
+                  st.characters(blacklist_characters=","), max_size=4) \
+    .filter(str.isprintable)
+
+
+@st.composite
+def _csv_tables(draw):
+    """A trajectory of 0 to 2,100 rows, so it may cross the writer's
+    1,024-row chunk edge. Each float column holds values from CSV_POOL or
+    arbitrary bit patterns; some tables have an int64 time column and a
+    float32 service column."""
+    rows = draw(st.integers(0, 2100))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    narrow = draw(st.booleans())
+    cols = {}
+    for f in FLOAT_COLUMNS:
+        kind = np.dtype(np.float32 if narrow and f == "service" else float)
+        cols[f] = (rng.choice(CSV_POOL, rows).astype(kind)
+                   if draw(st.booleans()) else
+                   rng.integers(0, 256, rows * kind.itemsize, np.uint8)
+                   .view(kind))
+    if narrow:
+        cols["time"] = rng.integers(-10**6, 10**6, rows)
+        # a signalling float32 nan warns when it is widened; no run has one
+        cols["service"][np.isnan(cols["service"])] = np.nan
+    ids = np.array(draw(st.lists(CSV_IDS, min_size=1, max_size=5)),
+                   dtype=object)
+    return Trajectory(app=rng.choice(ids, rows), **cols)
+
+
 class TestPresets:
     def test_sync5_shape(self):
         s = parse_scenario("sync5")
@@ -444,6 +479,23 @@ class TestTrajectoryCsv:
             fairness=values[::-1])
         _assert_writers_agree(traj, tmp_path)
 
+    @settings(max_examples=100, deadline=None)
+    @given(_csv_tables())
+    def test_writer_prints_and_reads_back_every_table(self, traj):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = _assert_writers_agree(traj, Path(tmp))
+            if not len(traj):
+                return          # the reader refuses a table with no rows
+            back = read_trajectory_csv(path)
+        for f in FLOAT_COLUMNS:
+            col = getattr(traj, f).astype(np.float64)
+            got = getattr(back, f)
+            nan = np.isnan(col)
+            assert np.array_equal(np.isnan(got), nan), f
+            assert np.array_equal(got[~nan].view(np.int64),
+                                  col[~nan].view(np.int64)), f
+        assert list(back.app) == list(traj.app)
+
     def test_writer_memory_is_bounded_by_a_chunk(self, tmp_path):
         # every value distinct: the most text any chunk can hold
         rows = 100_000
@@ -625,6 +677,21 @@ apps:
             reports.append(json.loads(capsys.readouterr().out))
         assert reports[0] == reports[1]
         assert reports[0]["horizon"] == 60.0
+
+    def test_compare_names_the_apps_one_run_lacks(self, tmp_path, capsys):
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert main(["run", "sync5", "--horizon", str(5.0 * MS),
+                     "--out", str(a)]) == EXIT_OK
+        assert main(["run", "async3", "--horizon", str(5.0 * MS),
+                     "--out", str(b)]) == EXIT_OK
+        capsys.readouterr()
+        for first, second in ((a, b), (b, a)):
+            assert main(["compare", str(first), str(second)]) \
+                == EXIT_VALIDATION
+            err = capsys.readouterr().err
+            assert str(a) in err and str(b) in err
+            assert f"{b} lacks app4, app5" in err
+            assert f"{a} lacks none" in err
 
     @pytest.mark.parametrize("body", ["{", "{}", "[]"])
     def test_compare_unreadable_summary_exits_2(self, tmp_path, capsys, body):
