@@ -14,12 +14,13 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import hashlib
 import json
 import math
 import sys
 import warnings
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, Iterator, List, Optional, Sequence
 
 import numpy as np
 
@@ -36,6 +37,13 @@ _CSV_ROW = np.dtype([(name, object if name == "app" else float)
 # holds, where a whole-file join grows the process by the file's size
 _CSV_CHUNK = 1024
 
+# run_bundle records the CSV's sha256 here, as the line `sha256sum`
+# prints, so `sha256sum -c` checks it
+SIDECAR = "trajectory.csv.sha256"
+_SIDECAR_LINE = "{}  trajectory.csv\n"
+# the columns compare reads
+COMPARED = ("service", "bandwidth")
+
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_INVARIANT = 3
@@ -50,29 +58,56 @@ def _format_distinct(column: np.ndarray) -> List[str]:
     return np.array(text.split("\n"), dtype=object)[inverse].tolist()
 
 
-def write_trajectory_csv(traj: Trajectory, path: Path) -> None:
+def write_trajectory_csv(traj: Trajectory, path: Path) -> str:
     """One row per trajectory row, every float as `%.17g`, which
-    read_trajectory_csv parses back bit for bit."""
-    columns = [traj.app if name == "app" else
-               np.ascontiguousarray(getattr(traj, name), dtype=np.float64)
-               for name in _CSV_ROW.names]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(CSV_HEADER + "\n")
-        for lo in range(0, len(traj), _CSV_CHUNK):
-            rows = slice(lo, lo + _CSV_CHUNK)
-            cells = [col[rows].tolist() if col is traj.app
-                     else _format_distinct(col[rows]) for col in columns]
-            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
+    read_trajectory_csv parses back bit for bit. Returns the sha256 hex
+    digest of the bytes written."""
+    digest = hashlib.sha256()
+    with open(path, "wb") as fh:
+        for text in _csv_text(traj):
+            data = text.encode("utf-8")
+            digest.update(data)
+            fh.write(data)
+    return digest.hexdigest()
 
 
-def read_trajectory_csv(path: Path) -> Trajectory:
+def _csv_text(traj: Trajectory) -> Iterator[str]:
+    """The header line, then the lines of each _CSV_CHUNK rows."""
+    # a signalling nan in a narrower float column widens to nan, which `%`
+    # prints as such, without an invalid-cast warning
+    with np.errstate(invalid="ignore"):
+        columns = [traj.app if name == "app" else
+                   np.ascontiguousarray(getattr(traj, name), dtype=np.float64)
+                   for name in _CSV_ROW.names]
+    yield CSV_HEADER + "\n"
+    for lo in range(0, len(traj), _CSV_CHUNK):
+        rows = slice(lo, lo + _CSV_CHUNK)
+        cells = [col[rows].tolist() if col is traj.app
+                 else _format_distinct(col[rows]) for col in columns]
+        yield "\n".join(map(",".join, zip(*cells))) + "\n"
+
+
+def read_trajectory_csv(path: Path, fields: Sequence[str] = VALUES
+                        ) -> Trajectory:
     """Read a file written by write_trajectory_csv.
 
     The rows stream through numpy's C reader, which parses `%.17g` text
     exactly (inf, nan and -0 included) and requires all eight fields on
     every row. A file that is not such a table, or has no rows, raises
     ConfigurationError naming the file.
+
+    `fields` names the VALUES columns to parse besides `time` and `app`;
+    each other one reads as a read-only nan column that allocates nothing.
+    A subset is parsed through `usecols`, which accepts a row with fields
+    missing or added past the last column read and never looks at the
+    skipped fields, so pass one only for a file known to be the writer's
+    bytes, as compare_bundles knows it from run_bundle's digest.
     """
+    unknown = set(fields) - set(VALUES)
+    if unknown:
+        raise ValueError(f"not trajectory columns: {sorted(unknown)}")
+    names = [n for n in _CSV_ROW.names if n not in VALUES or n in fields]
+    subset = len(names) < len(_CSV_ROW.names)
     try:
         with open(path, "r", encoding="utf-8") as fh:
             header = fh.readline().strip()
@@ -83,14 +118,19 @@ def read_trajectory_csv(path: Path) -> Trajectory:
                 # an empty table is reported below, not as a warning
                 warnings.simplefilter("ignore", UserWarning)
                 # no comment character: app ids may contain '#'
-                rows = np.loadtxt(fh, dtype=_CSV_ROW, delimiter=",",
-                                  comments=None, ndmin=1)
+                rows = np.loadtxt(
+                    fh, dtype=np.dtype([(n, _CSV_ROW[n]) for n in names]),
+                    delimiter=",", comments=None, ndmin=1,
+                    usecols=([_CSV_ROW.names.index(n) for n in names]
+                             if subset else None))
     except ValueError as exc:
         raise ConfigurationError(
             f"{path}: malformed trajectory CSV: {exc}") from exc
     if rows.size == 0:
         raise ConfigurationError(f"{path}: no data rows")
-    return Trajectory(**{name: rows[name].copy() for name in _CSV_ROW.names})
+    unread = np.broadcast_to(np.nan, rows.shape)
+    return Trajectory(**{name: rows[name].copy() if name in names else unread
+                         for name in _CSV_ROW.names})
 
 
 def _jsonable(x):
@@ -118,8 +158,8 @@ def _number(x) -> float:
 
 
 def run_bundle(scenario: scen.Scenario, out_dir: Path) -> Dict:
-    """Execute a scenario, write trajectory.csv and summary.json into
-    out_dir, and return the summary."""
+    """Execute a scenario, write trajectory.csv, its SIDECAR and
+    summary.json into out_dir, and return the summary."""
     traj = run_scenario(scenario)
     bounds = reference.compute_bounds(scenario.apps, scenario.platform)
     report_obj = analysis.sweep_invariants(traj, scenario.platform)
@@ -154,17 +194,37 @@ def run_bundle(scenario: scen.Scenario, out_dir: Path) -> Dict:
                                   if g > scenario.platform.match_tol),
         }
     out_dir.mkdir(parents=True, exist_ok=True)
-    write_trajectory_csv(traj, out_dir / "trajectory.csv")
+    digest = write_trajectory_csv(traj, out_dir / "trajectory.csv")
+    (out_dir / SIDECAR).write_text(_SIDECAR_LINE.format(digest),
+                                   encoding="utf-8", newline="\n")
     with open(out_dir / "summary.json", "w", encoding="utf-8") as fh:
         fh.write(json.dumps(_jsonable(summary), indent=2) + "\n")
     return summary
+
+
+def _matches_sidecar(csv: Path) -> bool:
+    """Whether the SIDECAR beside a run's trajectory.csv holds exactly the
+    line run_bundle writes for the file's present bytes."""
+    try:
+        recorded = (csv.parent / SIDECAR).read_bytes()
+    except OSError:
+        return False        # no sidecar: compare checks every field
+    digest = hashlib.sha256()
+    with open(csv, "rb") as fh:
+        for block in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(block)
+    return recorded == _SIDECAR_LINE.format(digest.hexdigest()).encode()
 
 
 def compare_bundles(dir_a: Path, dir_b: Path) -> Dict:
     """Per-app sup deviation between two run directories, checked against the
     asynchronous-equivalence bound of the first bundle."""
     paths = (dir_a / "trajectory.csv", dir_b / "trajectory.csv")
-    ta, tb = (read_trajectory_csv(path) for path in paths)
+    # a file whose bytes are the ones run_bundle wrote and hashed cannot
+    # fail the checks on the columns compare does not read
+    ta, tb = (read_trajectory_csv(
+        path, fields=COMPARED if _matches_sidecar(path) else VALUES)
+        for path in paths)
     for path, traj in zip(paths, (ta, tb)):
         # the sup below reads each app's rows in time order
         if not traj.rises_per_app():
@@ -190,7 +250,7 @@ def compare_bundles(dir_a: Path, dir_b: Path) -> Dict:
     bound = sum(reference.equivalence_bound(step, ell, n_bar))
     fields = {f: analysis.sup_deviation_per_app(
         *(analysis.interpolate(t, f) for t in (ta, tb)), horizon)
-        for f in ("service", "bandwidth")}
+        for f in COMPARED}
     return {"horizon": horizon, "fields": fields, "equivalence_bound": bound,
             "within_bound": all(v <= bound for v in fields["service"].values())}
 
@@ -248,7 +308,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             s = _load(args)
             out = Path(args.out)
             rep = run_bundle(s, out)["invariants"]
-            print(f"wrote {out / 'trajectory.csv'} and {out / 'summary.json'}")
+            print(f"wrote {out / 'trajectory.csv'}, {out / SIDECAR} and "
+                  f"{out / 'summary.json'}")
             if s.strict_bounds and not (rep["feasibility_ok"]
                                         and rep["starvation_ok"]):
                 print("strict mode: invariant report flagged a violation",

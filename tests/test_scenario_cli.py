@@ -1,8 +1,10 @@
 import contextlib
 import dataclasses
+import hashlib
 import io
 import json
 import math
+import os
 import re
 import tempfile
 import tracemalloc
@@ -13,6 +15,7 @@ import pytest
 import yaml
 from hypothesis import given, settings, strategies as st
 
+from fairband import cli
 from fairband import (ConfigurationError, MembershipEvent, parse_scenario,
                       parse_scenario_text, run_scenario)
 from fairband.core import SUM_TOL, JobModel, PlatformSpec
@@ -71,7 +74,7 @@ def _csv_tables(draw):
     """A trajectory of 0 to 2,100 rows, so it may cross the writer's
     1,024-row chunk edge. Each float column holds values from CSV_POOL or
     arbitrary bit patterns; some tables have an int64 time column and a
-    float32 service column."""
+    float32 service column, which holds signalling nans."""
     rows = draw(st.integers(0, 2100))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     narrow = draw(st.booleans())
@@ -84,8 +87,9 @@ def _csv_tables(draw):
                    .view(kind))
     if narrow:
         cols["time"] = rng.integers(-10**6, 10**6, rows)
-        # a signalling float32 nan warns when it is widened; no run has one
-        cols["service"][np.isnan(cols["service"])] = np.nan
+        # every eighth float32 pattern gets an all-ones exponent: an inf or
+        # a nan, signalling when the top mantissa bit is clear
+        cols["service"].view(np.uint32)[::8] |= 0x7f800000
     ids = np.array(draw(st.lists(CSV_IDS, min_size=1, max_size=5)),
                    dtype=object)
     return Trajectory(app=rng.choice(ids, rows), **cols)
@@ -488,7 +492,8 @@ class TestTrajectoryCsv:
                 return          # the reader refuses a table with no rows
             back = read_trajectory_csv(path)
         for f in FLOAT_COLUMNS:
-            col = getattr(traj, f).astype(np.float64)
+            with np.errstate(invalid="ignore"):     # a signalling nan widens
+                col = getattr(traj, f).astype(np.float64)
             got = getattr(back, f)
             nan = np.isnan(col)
             assert np.array_equal(np.isnan(got), nan), f
@@ -528,6 +533,119 @@ class TestTrajectoryCsv:
         with pytest.raises(ConfigurationError) as info:
             read_trajectory_csv(path)
         assert str(path) in str(info.value) and what in str(info.value)
+
+
+def _garble(sidecar: Path, how: str) -> None:
+    """Leave a run's sidecar as it is, delete it, or garble it: one hex
+    digit flipped, or bytes that are not text."""
+    if how == "deleted":
+        sidecar.unlink()
+    elif how == "flipped":
+        text = sidecar.read_text()
+        sidecar.write_text("01"[text[0] == "0"] + text[1:])
+    elif how == "binary":
+        sidecar.write_bytes(b"\xff\xfe" + sidecar.read_bytes()[2:])
+
+
+# run_bundle's sha256 sidecar decides how much of each CSV compare parses;
+# the variants these tests refute trust a file's size or mtime instead
+class TestDigestSidecar:
+    def test_sidecar_is_the_csv_sha256(self, tmp_path):
+        out = tmp_path / "out"
+        assert main(["run", "sync5", "--horizon", str(20.0 * MS),
+                     "--out", str(out)]) == EXIT_OK
+        csv = (out / "trajectory.csv").read_bytes()
+        digest = hashlib.sha256(csv).hexdigest()
+        assert (out / "trajectory.csv.sha256").read_bytes() \
+            == f"{digest}  trajectory.csv\n".encode()
+        assert write_trajectory_csv(read_trajectory_csv(out / "trajectory.csv"),
+                                    tmp_path / "again.csv") == digest
+
+    @pytest.mark.parametrize("pair", ["mixed", "async3"])
+    def test_compare_json_does_not_depend_on_the_sidecars(
+            self, tmp_path, capsys, monkeypatch, pair):
+        if pair == "mixed":
+            cfg = tmp_path / "mixed.yaml"
+            cfg.write_text(MIXED)
+            runs = ([str(cfg)], [str(cfg), "--mode", "async_uncompensated"])
+        else:
+            horizon = ["--horizon", str(300.0 * MS)]
+            runs = (["async3", *horizon],
+                    ["async3", *horizon, "--mode", "async_uncompensated"])
+        reports, routes = {}, {}
+        real = cli.read_trajectory_csv
+
+        def spy(path, fields=cli.VALUES):
+            routes[state].append(tuple(fields))
+            return real(path, fields=fields)
+
+        monkeypatch.setattr(cli, "read_trajectory_csv", spy)
+        for state in ("present", "deleted", "flipped", "binary"):
+            dirs = [tmp_path / state / d for d in "ab"]
+            for argv, d in zip(runs, dirs):
+                assert main(["run", *argv, "--out", str(d)]) == EXIT_OK
+                _garble(d / "trajectory.csv.sha256", state)
+            out = tmp_path / state / "compare.json"
+            routes[state] = []
+            assert main(["compare", *map(str, dirs), "--out", str(out)]) \
+                == EXIT_OK
+            reports[state] = out.read_bytes()
+        capsys.readouterr()
+        assert len(set(reports.values())) == 1
+        assert routes.pop("present") == [("service", "bandwidth")] * 2
+        assert all(r == [cli.VALUES] * 2 for r in routes.values())
+
+    @pytest.mark.parametrize("sidecar", ["stale", "deleted"])
+    def test_same_length_edit_of_an_unread_column_exits_2(
+            self, tmp_path, capsys, sidecar):
+        a, b = tmp_path / "a", tmp_path / "b"
+        for d in (a, b):
+            assert main(["run", "sync5", "--horizon", str(20.0 * MS),
+                         "--out", str(d)]) == EXIT_OK
+        bad = b / "trajectory.csv"
+        stat = bad.stat()
+        header, first, *rest = bad.read_text().split("\n")
+        cells = first.split(",")
+        cells[5] = "x" * len(cells[5])              # response
+        bad.write_text("\n".join([header, ",".join(cells), *rest]))
+        # the same size and mtime as the file the sidecar was written for
+        os.utime(bad, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+        assert bad.stat().st_size == stat.st_size
+        if sidecar == "deleted":
+            (b / "trajectory.csv.sha256").unlink()
+        capsys.readouterr()
+        assert main(["compare", str(a), str(b)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert str(bad) in err and "x" * len(cells[5]) in err
+
+    @pytest.mark.parametrize("table", ["mixed", "special"])
+    @pytest.mark.parametrize("fields", [("service", "bandwidth"),
+                                        ("bandwidth", "service"), ()])
+    def test_field_subset_reads_the_same_bits(self, tmp_path, table, fields):
+        path = tmp_path / "t.csv"
+        if table == "mixed":
+            traj = run_scenario(parse_scenario_text(MIXED))
+        else:
+            special = np.array([-0.0, 0.0, math.inf, -math.inf, math.nan,
+                                -math.nan, 5e-324, 1.0 / 3.0])
+            traj = Trajectory(app=np.array(["x", "#y", "z é", "x"] * 2,
+                                           dtype=object),
+                              **{f: np.roll(special, k) for k, f in
+                                 enumerate(FLOAT_COLUMNS)})
+        write_trajectory_csv(traj, path)
+        full, part = read_trajectory_csv(path), read_trajectory_csv(
+            path, fields=fields)
+        assert list(part.app) == list(full.app)
+        for f in FLOAT_COLUMNS:
+            got = getattr(part, f)
+            assert got.dtype == np.float64 and len(got) == len(full), f
+            if f == "time" or f in fields:
+                assert np.array_equal(got.view(np.int64),
+                                      getattr(full, f).view(np.int64)), f
+            else:
+                assert np.isnan(got).all() and not got.flags.writeable, f
+        with pytest.raises(ValueError, match="app"):
+            read_trajectory_csv(path, fields=("app",))
 
 
 class TestCli:
