@@ -242,7 +242,9 @@ def compare_bundles(dir_a: Path, dir_b: Path) -> Dict:
             sa = json.load(fh)
             step = _number(sa["scenario"]["platform"]["step"])
             ell = _number(sa["bounds"]["ell"])
-            n_bar = int(sa["bounds"]["n_bar"])
+            # a bool or a float would be truncated to a count
+            if type(n_bar := sa["bounds"]["n_bar"]) is not int:
+                raise TypeError(f"n_bar {n_bar!r} is not an integer")
         except (ValueError, KeyError, TypeError) as exc:
             raise ConfigurationError(
                 f"{summary_path}: unreadable run summary: {exc!r}") from exc

@@ -123,13 +123,12 @@ class JobModel:
         """Coefficient of the nominal matching form for this model."""
         if self.beta is not None:
             return self.beta
-        # control models carry an explicit beta
-        if self.kind == "multimedia":
-            return self.deadline / self.alpha
-        if self.a == 0.0:
-            raise ConfigurationError(
-                "synthetic model with a = 0 has no nominal matching coefficient")
-        return self.deadline / self.a
+        # control models carry an explicit beta, multimedia a positive alpha
+        num, den = self.QUOTIENT[self.kind]
+        if getattr(self, den) == 0.0:
+            raise ConfigurationError(f"{self.kind} model with {den} = 0 has "
+                                     f"no nominal matching coefficient")
+        return getattr(self, num) / getattr(self, den)
 
     @property
     def coefficients(self) -> Tuple[float, float, float, float]:

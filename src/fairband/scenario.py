@@ -112,9 +112,11 @@ class Scenario:
             raise ConfigurationError("sample_stride must be 1 in mode ode_reference")
         if not self.apps:
             raise ConfigurationError("a scenario needs at least one app")
-        rows = {a.id: i for i, a in enumerate(self.apps)}  # live id -> row
-        if len(rows) != len(self.apps):
-            raise ConfigurationError("app ids must be unique")
+        rows = {}  # live id -> row
+        for i, a in enumerate(self.apps):
+            if (j := rows.setdefault(a.id, i)) != i:
+                raise ConfigurationError(
+                    f"apps[{i}].id: app id {a.id!r} is given twice (apps[{j}])")
         # one pass over the events in time order, past the horizon too; each
         # applies at the instant within 1e-9 periods of its time, or at 0 if
         # before the run. Non-finite times come first, in the order given.
@@ -160,8 +162,14 @@ class Scenario:
                 "records no rows")
         object.__setattr__(self, "admitted", tuple(admitted))
         object.__setattr__(self, "schedule", schedule)
-        # so every verb refuses an allocation the platform does not admit
+        # so every verb refuses an allocation, or a strict step, run refuses
         self.initial_state()
+        if self.strict_bounds:
+            from .reference import compute_bounds
+            guard = compute_bounds(self.apps, self.platform).epsilon_star
+            if (step := self.platform.step) >= guard:
+                raise ConfigurationError(f"strict mode: step {step} not below "
+                                         f"the starvation guard {guard}")
 
     @property
     def steps(self) -> int:
@@ -303,23 +311,23 @@ def _entries(value, where: str, read, key: str) -> Tuple:
     return tuple(read(d, f"{key}[{i}]") for i, d in enumerate(value))
 
 
-def _fields(cls, table: Dict, d, path: str) -> Dict:
+def _fields(cls, d, path: str) -> Dict:
     """The arguments of `cls` that mapping d gives, each key read by its
-    reader in `table`; a field of cls without a default is required."""
-    _mapping(d, path, table)
+    reader in _TABLES[cls]; a field of cls without a default is required."""
+    _mapping(d, path, _TABLES[cls])
     for key in _REQUIRED[cls]:
         _want(d, key, path)
     return {key: read(d[key], f"{path}.{key}")
-            for key, read in table.items() if key in d}
+            for key, read in _TABLES[cls].items() if key in d}
 
 
-def _read(cls, table: Dict, d, path: str):
+def _read(cls, d, path: str):
     """A `cls` (PlatformSpec or ApplicationSpec) from mapping d."""
-    return _build(cls, _fields(cls, table, d, path), path)
+    return _build(cls, _fields(cls, d, path), path)
 
 
 def _parse_model(d, path: str) -> JobModel:
-    fields = _fields(JobModel, _MODEL, d, path)
+    fields = _fields(JobModel, d, path)
     # the unit scales every coefficient but beta, a pure number
     scale = fields.pop("coeff_unit", 1.0)
     fields.update({key: x * scale for key, x in fields.items()
@@ -337,17 +345,14 @@ def _parse_model(d, path: str) -> JobModel:
     return model
 
 
-def _parse_app(d, path: str) -> ApplicationSpec:
-    return _read(ApplicationSpec, _APP, d, path)
-
-
 def _parse_event(d, path: str) -> MembershipEvent:
-    fields = _fields(MembershipEvent, _EVENT, d, path)
+    fields = _fields(MembershipEvent, d, path)
     # a join's app is an apps entry and a leave's an id; the Scenario
     # refuses any other action
     action, where = fields["action"], f"{path}.app"
     if action == "join":
-        fields["spec"] = _parse_app(_want(fields, "app", path), where)
+        fields["spec"] = _read(ApplicationSpec, _want(fields, "app", path),
+                               where)
     elif action == "leave":
         fields["app_id"] = _string(_want(fields, "app", path), where)
     fields.pop("app", None)
@@ -373,24 +378,23 @@ _EVENT = {"time": _float, "action": _verbatim, "app": _verbatim}
 _TOP = {"name": _string, "mode": _string, "rm_period": _float,
         "horizon": _float, "strict_bounds": _boolean,
         "sample_stride": _integer,
-        "platform": lambda d, _: _read(PlatformSpec, _PLATFORM, d,
-                                       "platform"),
-        "apps": lambda d, where: _entries(d, where, _parse_app, "apps"),
+        "platform": lambda d, _: _read(PlatformSpec, d, "platform"),
+        "apps": lambda d, where: _entries(
+            d, where, functools.partial(_read, ApplicationSpec), "apps"),
         "events": lambda d, where: _entries(
             [] if d is None else d, where, _parse_event, "events")}
 _TABLES = {Scenario: _TOP, PlatformSpec: _PLATFORM, ApplicationSpec: _APP,
-           MembershipEvent: _EVENT}
+           JobModel: _MODEL, MembershipEvent: _EVENT}
 # each class's fields without a default, which its mapping must give
 _REQUIRED = {cls: tuple(f.name for f in dataclasses.fields(cls)
                         if f.init and f.default is dataclasses.MISSING)
-             for cls in (*_TABLES, JobModel)}
+             for cls in _TABLES}
 
 
 def scenario_from_dict(doc: Dict) -> Scenario:
     _mapping(doc, "scenario", _TOP)
     # an absent platform takes every PlatformSpec default
-    return Scenario(**_fields(Scenario, _TOP, {"platform": {}, **doc},
-                              "scenario"))
+    return Scenario(**_fields(Scenario, {"platform": {}, **doc}, "scenario"))
 
 
 def emit(scenario: Scenario) -> str:

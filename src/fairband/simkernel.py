@@ -402,13 +402,6 @@ def run_scenario(scenario) -> Trajectory:
     by repetition from there on.
     """
     platform: PlatformSpec = scenario.platform
-    if scenario.strict_bounds:
-        from .reference import compute_bounds
-        guard = compute_bounds(scenario.apps, platform).epsilon_star
-        if platform.step >= guard:
-            raise ConfigurationError(
-                f"strict mode: step {platform.step} not below the starvation "
-                f"guard {guard}")
     s, v = scenario.initial_state()
     if scenario.mode == "ode_reference":
         from .reference import integrate_ode

@@ -1,6 +1,7 @@
 """The CI workflow runs ROADMAP's tier-1 command on the Pythons it names,
 with the test extra pyproject.toml declares, then the installed package's
-console script (checking the trajectory against its sha256 sidecar), then
+console script and `python -m fairband` with RuntimeWarnings as errors
+(checking the trajectory against its sha256 sidecar), then
 each bench workload's own output checks. CI itself
 cannot run offline, so this checks what it would run, and the warnings it
 fails on."""
@@ -23,12 +24,15 @@ def test_workflow_runs_the_tier1_command():
     job = doc["jobs"]["tier1"]
     assert job["strategy"]["matrix"]["python-version"] == ["3.10", "3.11"]
     runs = [step["run"] for step in job["steps"] if "run" in step]
+    script = next(step for step in job["steps"]
+                  if step.get("name") == "Run the installed console script")
+    assert script["env"] == {"PYTHONWARNINGS": "error::RuntimeWarning"}
     tier1 = re.search(r"\*\*Tier-1 verify:\*\* `([^`]+)`",
                       (ROOT / "ROADMAP.md").read_text(encoding="utf-8"))
     assert runs == ['python -m pip install ".[test]"', tier1.group(1),
                     "fairband run async3 --out ci-out && "
                     "(cd ci-out && sha256sum -c trajectory.csv.sha256) && "
-                    "fairband compare ci-out ci-out",
+                    "python -m fairband compare ci-out ci-out",
                     "for w in async3 wide churn; do python3 bench/run.py "
                     '--workload "$w" --seconds 1 | tail -n 1 | python3 -c '
                     "'import json, sys; sys.exit(json.load(sys.stdin)"

@@ -15,15 +15,15 @@ import pytest
 import yaml
 from hypothesis import given, settings, strategies as st
 
-from fairband import cli
-from fairband import (ConfigurationError, MembershipEvent, parse_scenario,
-                      parse_scenario_text, run_scenario)
-from fairband.core import SUM_TOL, JobModel, PlatformSpec
+from fairband import cli, scenario
+from fairband import (ConfigurationError, MembershipEvent, Scenario,
+                      parse_scenario, parse_scenario_text, run_scenario)
+from fairband.core import SUM_TOL, ApplicationSpec, JobModel, PlatformSpec
 from fairband.cli import (CSV_HEADER, EXIT_INVARIANT, EXIT_IO, EXIT_OK,
                           EXIT_VALIDATION, _jsonable, main,
                           read_trajectory_csv, write_trajectory_csv)
-from fairband.scenario import (_APP, _EVENT, _MODEL, _PLATFORM, _TOP, MS,
-                               emit, scenario_from_dict)
+from fairband.scenario import (_APP, _EVENT, _MODEL, _PLATFORM, _TABLES, _TOP,
+                               MS, emit, scenario_from_dict)
 from fairband.simkernel import Trajectory
 from test_kernel import MIXED
 
@@ -37,6 +37,28 @@ FLOAT_COLUMNS = ("time", "service", "bandwidth", "deadline", "response",
 def _sync5_doc(**changes):
     """sync5 as a config document, with top-level keys replaced."""
     return {**yaml.safe_load(emit(parse_scenario("sync5"))), **changes}
+
+
+def _config_argv(verb, edit):
+    """argv(tmp_path) for `verb` on five instants of sync5, edited by
+    `edit` and written to a config file in tmp_path."""
+    def argv(tmp_path):
+        doc = _sync5_doc(horizon=5.0 * MS)
+        edit(doc)
+        cfg = tmp_path / "s.yaml"
+        cfg.write_text(yaml.safe_dump(doc))
+        out = ["--out", str(tmp_path / "out")] if verb == "run" else []
+        return [verb, str(cfg), *out]
+    return argv
+
+
+def _bad_header_argv(tmp_path):
+    """argv(tmp_path) comparing two run folders whose CSV header is not the
+    writer's."""
+    for name in ("a", "b"):
+        (tmp_path / name).mkdir()
+        (tmp_path / name / "trajectory.csv").write_text("t,app\n0,app1\n")
+    return ["compare", str(tmp_path / "a"), str(tmp_path / "b")]
 
 
 def _row_by_row_csv(traj, path):
@@ -376,6 +398,26 @@ apps:
         rows = dict(re.findall(r"^\| `(\w+)` \| ([^|]*) \|", section, re.M))
         assert {kind: tuple(re.findall(r"`(\w+)`", keys))
                 for kind, keys in rows.items()} == JobModel.READS
+
+    def test_config_tables_agree(self, monkeypatch):
+        # a kind's quotient reads its own coefficients or beta, and the
+        # model table has a reader for each of them
+        for kind, reads in JobModel.READS.items():
+            assert set(JobModel.QUOTIENT[kind]) <= {*reads, "beta"}
+            assert {*reads, "kind", "beta", "coeff_unit"} \
+                <= set(_TABLES[JobModel])
+        # MIXED holds every kind, a join and a leave
+        built, fields = set(), scenario._fields
+
+        def spy(cls, *rest):
+            built.add(cls)
+            return fields(cls, *rest)
+
+        monkeypatch.setattr(scenario, "_fields", spy)
+        parse_scenario_text(MIXED)
+        assert built == {Scenario, PlatformSpec, ApplicationSpec, JobModel,
+                         MembershipEvent}
+        assert built <= set(_TABLES)
 
     def test_integral_float_count_accepted(self):
         doc = _sync5_doc(sample_stride=2.0)
@@ -855,6 +897,107 @@ apps:
         capsys.readouterr()
         assert main(["compare", str(a), str(a)]) == EXIT_VALIDATION
         assert str(a / "summary.json") in capsys.readouterr().err
+
+    # a bool or a fraction would be truncated to a count of 1 or 2
+    @pytest.mark.parametrize("n_bar", [True, 2.5, "3"])
+    def test_compare_refuses_an_n_bar_that_is_not_an_integer(
+            self, tmp_path, capsys, n_bar):
+        a = tmp_path / "a"
+        assert main(["run", "sync5", "--horizon", str(5.0 * MS),
+                     "--out", str(a)]) == EXIT_OK
+        summary = json.loads((a / "summary.json").read_text())
+        summary["bounds"]["n_bar"] = n_bar
+        (a / "summary.json").write_text(json.dumps(summary))
+        capsys.readouterr()
+        assert main(["compare", str(a), str(a)]) == EXIT_VALIDATION
+        assert str(a / "summary.json") in capsys.readouterr().err
+        summary["bounds"]["n_bar"] = 3
+        (a / "summary.json").write_text(json.dumps(summary))
+        assert main(["compare", str(a), str(a)]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["equivalence_bound"] \
+            == 2.75
+
+    # the strict guard is checked when the scenario is built, so every verb
+    # that reads one refuses the step run refuses
+    def test_every_verb_refuses_a_step_over_the_strict_guard(self, tmp_path,
+                                                             capsys):
+        def edit(d):
+            d.update(strict_bounds=True)
+            d["platform"].update(step=0.9)
+            for app in d["apps"]:
+                app.update(min_service=1.0)    # which solve reads
+
+        errors = []
+        for verb in ("run", "bounds", "solve"):
+            assert main(_config_argv(verb, edit)(tmp_path)) == EXIT_VALIDATION
+            errors.append(capsys.readouterr().err)
+        assert errors == ["validation error: strict mode: step 0.9 not below "
+                          "the starvation guard 0.29411764705882354\n"] * 3
+
+    def test_duplicate_app_id_names_the_id_and_both_places(self, tmp_path,
+                                                           capsys):
+        argv = _config_argv("run", lambda d: d["apps"][2].update(id="app2"))
+        assert main(argv(tmp_path)) == EXIT_VALIDATION
+        assert capsys.readouterr().err == (
+            "validation error: apps[2].id: app id 'app2' is given twice "
+            "(apps[1])\n")
+
+    # each refusal, as main prints it; <tmp> stands for the test's folder
+    @pytest.mark.parametrize("argv, err", [
+        (_config_argv("run", lambda d: d["platform"].update(match_tol=0)),
+         "validation error: platform: match_tol must be positive"),
+        (_config_argv("run", lambda d: d["platform"].update(
+            max_total_bandwidth=1.5)),
+         "validation error: platform: max_total_bandwidth must be in (0, 1]"),
+        (_config_argv("run", lambda d: d["apps"][0].update(max_service=5.0)),
+         "validation error: apps[0]: app app1: initial_service above "
+         "max_service"),
+        (_config_argv("run", lambda d: d["apps"][0].update(
+            initial_bandwidth=1.5)),
+         "validation error: apps[0]: app app1: initial_bandwidth must be in "
+         "[0, 1]"),
+    ] + [
+        (_config_argv("run", lambda d, model=model: d["apps"][0].update(
+            model=model)),
+         f"validation error: apps[0].model: {model['kind']} model requires "
+         f"{key} > 0")
+        for model, key in (
+            ({"kind": "multimedia", "alpha": 1.0, "deadline": 0}, "deadline"),
+            ({"kind": "control", "alpha": 0, "beta": 1.0}, "alpha"),
+            ({"kind": "synthetic", "a": 1.0, "b": 1.0, "deadline": 0},
+             "deadline"))
+    ] + [
+        (_config_argv("solve", lambda d: [app.update(min_service=1.0, model={
+            "kind": "synthetic", "a": 0, "b": 200.0, "deadline": 1.0})
+            for app in d["apps"]]),
+         "validation error: synthetic model with a = 0 has no nominal "
+         "matching coefficient"),
+        (_config_argv("run", lambda d: d.update(sample_stride=0)),
+         "validation error: sample_stride must be >= 1"),
+        (_config_argv("run", lambda d: d.update(apps=[])),
+         "validation error: a scenario needs at least one app"),
+        (lambda tmp: ["solve", "sync5"],
+         "validation error: stationary analysis requires min_service > 0"),
+        (lambda tmp: ["bounds", "sync5", "--zeta", "2"],
+         "validation error: zeta must lie in (0, 1)"),
+        (_bad_header_argv, "validation error: <tmp>/a/trajectory.csv: "
+         "unexpected CSV header 't,app'"),
+        # sync5's five initial shares of 0.2 leave no pool to seed a joiner
+        (_config_argv("run", lambda d: d.update(events=[{
+            "time": 2.0 * MS, "action": "join", "app": {
+                **{k: x for k, x in d["apps"][0].items()
+                   if k != "initial_bandwidth"}, "id": "late"}}])),
+         "error: cannot admit 'late': no unused bandwidth for the seed"),
+    ], ids=["match_tol-0", "max_total_bandwidth-1.5", "max_service-low",
+            "initial_bandwidth-1.5", "multimedia-deadline-0",
+            "control-alpha-0", "synthetic-deadline-0", "solve-a-0",
+            "sample_stride-0", "no-apps", "solve-zero-floor", "zeta-2",
+            "csv-header", "join-full-pool"])
+    def test_refusal_exits_2_with_its_message(self, tmp_path, capsys, argv,
+                                              err):
+        assert main(argv(tmp_path)) == EXIT_VALIDATION
+        assert capsys.readouterr().err \
+            == err.replace("<tmp>", str(tmp_path)) + "\n"
 
     # the schedule is checked when the scenario is built, so every verb
     # that reads a scenario refuses a bad one
