@@ -292,15 +292,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load(args) -> scen.Scenario:
-    """The scenario with the overrides the verb's flags give, if any."""
-    s = scen.parse_scenario(args.scenario)
+    """The scenario with the verb's flags in place before it is checked."""
     changes = {"mode": getattr(args, "mode", None),
                "horizon": getattr(args, "horizon", None),
                "strict_bounds": getattr(args, "strict", False) or None}
-    if getattr(args, "step", None) is not None:
-        changes["platform"] = dataclasses.replace(s.platform, step=args.step)
-    changes = {k: x for k, x in changes.items() if x is not None}
-    return dataclasses.replace(s, **changes) if changes else s
+    return scen.parse_scenario(args.scenario, getattr(args, "step", None), **{
+        k: x for k, x in changes.items() if x is not None})
 
 
 def main(argv: Optional[List[str]] = None) -> int:

@@ -391,10 +391,17 @@ _REQUIRED = {cls: tuple(f.name for f in dataclasses.fields(cls)
              for cls in _TABLES}
 
 
-def scenario_from_dict(doc: Dict) -> Scenario:
+def scenario_from_dict(doc: Dict, step: Optional[float] = None,
+                       **changes) -> Scenario:
+    """The Scenario of a config mapping, with `changes` in place of the
+    fields they name and `step` of the platform's step before it is built."""
     _mapping(doc, "scenario", _TOP)
     # an absent platform takes every PlatformSpec default
-    return Scenario(**_fields(Scenario, {"platform": {}, **doc}, "scenario"))
+    fields = {**_fields(Scenario, {"platform": {}, **doc}, "scenario"),
+              **changes}
+    if step is not None:
+        fields["platform"] = dataclasses.replace(fields["platform"], step=step)
+    return Scenario(**fields)
 
 
 def emit(scenario: Scenario) -> str:
@@ -437,10 +444,12 @@ def _async3() -> Scenario:
 PRESETS = {"sync5": _sync5, "async3": _async3}
 
 
-def parse_scenario(source: str) -> Scenario:
-    """Load a scenario from a preset name or a config file path."""
+def parse_scenario(source: str, step: Optional[float] = None,
+                   **changes) -> Scenario:
+    """Load a scenario from a preset name or a config file path, with the
+    changes scenario_from_dict makes; a preset is read as its echo."""
     if source in PRESETS:
-        return PRESETS[source]()
+        return scenario_from_dict(PRESETS[source]().echo(), step, **changes)
     try:
         with open(source, "rb") as fh:
             data = fh.read()
@@ -448,20 +457,19 @@ def parse_scenario(source: str) -> Scenario:
         raise ConfigurationError(
             f"{source!r} is neither a preset ({', '.join(PRESETS)}) "
             "nor a readable file") from exc
-    return _from_yaml(data, f"{source}: ")
+    return scenario_from_dict(_document(data, f"{source}: "), step, **changes)
 
 
 def parse_scenario_text(text: str) -> Scenario:
     """Parse a scenario from config text (round-trip partner of emit)."""
-    return _from_yaml(text, "")
+    return scenario_from_dict(_document(text, ""))
 
 
-def _from_yaml(text, where: str) -> Scenario:
-    """A scenario from YAML text, or from bytes in a UTF encoding; `where`
-    prefixes the message of a malformed document."""
+def _document(text, where: str):
+    """The document of YAML text, or of bytes in a UTF encoding; `where`
+    prefixes the message of a malformed one."""
     import yaml
     try:
-        doc = yaml.load(text, Loader=_loader())
+        return yaml.load(text, Loader=_loader())
     except yaml.YAMLError as exc:
         raise ConfigurationError(f"{where}malformed config: {exc}") from exc
-    return scenario_from_dict(doc)

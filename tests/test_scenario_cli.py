@@ -15,10 +15,10 @@ import pytest
 import yaml
 from hypothesis import given, settings, strategies as st
 
-from fairband import cli, scenario
-from fairband import (ConfigurationError, MembershipEvent, Scenario,
-                      parse_scenario, parse_scenario_text, run_scenario)
-from fairband.core import SUM_TOL, ApplicationSpec, JobModel, PlatformSpec
+from fairband import cli
+from fairband import (ConfigurationError, MembershipEvent, parse_scenario,
+                      parse_scenario_text, run_scenario)
+from fairband.core import SUM_TOL, JobModel, PlatformSpec
 from fairband.cli import (CSV_HEADER, EXIT_INVARIANT, EXIT_IO, EXIT_OK,
                           EXIT_VALIDATION, _jsonable, main,
                           read_trajectory_csv, write_trajectory_csv)
@@ -399,25 +399,13 @@ apps:
         assert {kind: tuple(re.findall(r"`(\w+)`", keys))
                 for kind, keys in rows.items()} == JobModel.READS
 
-    def test_config_tables_agree(self, monkeypatch):
+    def test_config_tables_agree(self):
         # a kind's quotient reads its own coefficients or beta, and the
         # model table has a reader for each of them
         for kind, reads in JobModel.READS.items():
             assert set(JobModel.QUOTIENT[kind]) <= {*reads, "beta"}
             assert {*reads, "kind", "beta", "coeff_unit"} \
                 <= set(_TABLES[JobModel])
-        # MIXED holds every kind, a join and a leave
-        built, fields = set(), scenario._fields
-
-        def spy(cls, *rest):
-            built.add(cls)
-            return fields(cls, *rest)
-
-        monkeypatch.setattr(scenario, "_fields", spy)
-        parse_scenario_text(MIXED)
-        assert built == {Scenario, PlatformSpec, ApplicationSpec, JobModel,
-                         MembershipEvent}
-        assert built <= set(_TABLES)
 
     def test_integral_float_count_accepted(self):
         doc = _sync5_doc(sample_stride=2.0)
@@ -933,6 +921,24 @@ apps:
             errors.append(capsys.readouterr().err)
         assert errors == ["validation error: strict mode: step 0.9 not below "
                           "the starvation guard 0.29411764705882354\n"] * 3
+
+    # a flag replaces the file's value before the Scenario checks it, so
+    # --step rescues a strict config whose own step is over the guard, and
+    # --mode a stride that ode_reference refuses
+    def test_flags_apply_before_the_scenario_rules(self, tmp_path, capsys):
+        def strict(d):
+            d.update(strict_bounds=True)
+            d["platform"].update(step=0.9)
+
+        for verb in ("run", "bounds"):
+            argv = _config_argv(verb, strict)(tmp_path)
+            assert main([*argv, "--step", "0.05"]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out.split("\n", 1)[1])[
+            "epsilon_star"] == 0.29411764705882354
+        argv = _config_argv(
+            "run", lambda d: d.update(mode="ode_reference", sample_stride=2))
+        assert main(argv(tmp_path)) == EXIT_VALIDATION
+        assert main([*argv(tmp_path), "--mode", "sync"]) == EXIT_OK
 
     def test_duplicate_app_id_names_the_id_and_both_places(self, tmp_path,
                                                            capsys):

@@ -121,8 +121,9 @@ class TestRunScenario:
 
     def test_strict_mode_rejects_large_step(self):
         apps = [_app(0, 0.9, v0=0.3), _app(1, 0.9, v0=0.3)]
-        with pytest.raises(ConfigurationError):
-            run_scenario(_scenario(apps, eps=0.9, strict_bounds=True))
+        # the Scenario refuses the step when it is built
+        with pytest.raises(ConfigurationError, match="strict mode: step 0.9"):
+            _scenario(apps, eps=0.9, strict_bounds=True)
 
     def test_unknown_mode_rejected(self):
         apps = [_app(0)]
