@@ -27,6 +27,7 @@ import numpy as np
 from . import analysis, reference, scenario as scen
 from .errors import (ConfigurationError, ConvergenceError, FairbandError,
                      InvariantViolation)
+from .floattext import format_g17
 from .simkernel import VALUES, Trajectory, run_scenario
 
 CSV_HEADER = ",".join(("time", "app") + VALUES)
@@ -50,12 +51,14 @@ EXIT_INVARIANT = 3
 EXIT_IO = 4
 
 
-def _format_distinct(column: np.ndarray) -> List[str]:
-    """`%.17g` text of a float64 column, formatting each distinct bit
-    pattern once (so -0.0 keeps its sign next to 0.0)."""
-    bits, inverse = np.unique(column.view(np.int64), return_inverse=True)
-    text = ("%.17g\n" * len(bits) % tuple(bits.view(np.float64).tolist()))
-    return np.array(text.split("\n"), dtype=object)[inverse].tolist()
+def _format_distinct(columns: List[np.ndarray]) -> List[List[str]]:
+    """`%.17g` text of float64 columns of one length, formatting each
+    distinct bit pattern among them once (so -0.0 keeps its sign next to
+    0.0)."""
+    bits, inverse = np.unique(np.stack(columns).view(np.int64).ravel(),
+                              return_inverse=True)
+    text = format_g17(bits.view(np.float64))
+    return text[inverse].reshape(len(columns), -1).tolist()
 
 
 def write_trajectory_csv(traj: Trajectory, path: Path) -> str:
@@ -76,14 +79,13 @@ def _csv_text(traj: Trajectory) -> Iterator[str]:
     # a signalling nan in a narrower float column widens to nan, which `%`
     # prints as such, without an invalid-cast warning
     with np.errstate(invalid="ignore"):
-        columns = [traj.app if name == "app" else
-                   np.ascontiguousarray(getattr(traj, name), dtype=np.float64)
-                   for name in _CSV_ROW.names]
+        floats = [np.ascontiguousarray(getattr(traj, name), dtype=np.float64)
+                  for name in _CSV_ROW.names if name != "app"]
     yield CSV_HEADER + "\n"
     for lo in range(0, len(traj), _CSV_CHUNK):
         rows = slice(lo, lo + _CSV_CHUNK)
-        cells = [col[rows].tolist() if col is traj.app
-                 else _format_distinct(col[rows]) for col in columns]
+        time, *values = _format_distinct([col[rows] for col in floats])
+        cells = [time, traj.app[rows].tolist(), *values]
         yield "\n".join(map(",".join, zip(*cells))) + "\n"
 
 

@@ -391,6 +391,15 @@ class Trajectory:
                 for aid, a, b in zip(ids, np.r_[0, ends[:-1]], ends)}
 
 
+def _nonfinite_matching(matching: np.ndarray, ids: Sequence[str]) -> str:
+    """Where a post-step breach comes from: the first app whose matching at
+    the instant is not finite, which turns the shares it feeds nan, though
+    the app named out of the box may be another."""
+    for j in np.flatnonzero(~np.isfinite(matching)):
+        return f"; app {ids[j]}'s matching at this instant is {matching[j]}"
+    return ""
+
+
 def run_scenario(scenario) -> Trajectory:
     """Advance one scenario over its whole horizon and record every manager
     instant. See the scenario module for the scenario object itself.
@@ -478,8 +487,8 @@ def run_scenario(scenario) -> Trajectory:
                 if not total <= LIMIT and (why := platform.breach(
                         rec[i + 1, 1], ids)):
                     raise InvariantViolation(
-                        f"bandwidth allocation left the feasible set: {why}",
-                        step=k0 + i)
+                        f"bandwidth allocation left the feasible set: {why}"
+                        + _nonfinite_matching(rec[i, 4], ids), step=k0 + i)
             s, v = rec[-1, 0], rec[-1, 1]
             blocks += [(instant_time(np.arange(ks.start, ks.stop, ks.step),
                                      period),

@@ -2,7 +2,8 @@
 with the test extra pyproject.toml declares, then the installed package's
 console script and `python -m fairband` with RuntimeWarnings as errors
 (checking the trajectory against its sha256 sidecar), then
-each bench workload's own output checks. CI itself
+each bench workload's own output checks. A second job runs tier-1 on the
+oldest numpy and Python that pyproject.toml admits. CI itself
 cannot run offline, so this checks what it would run, and the warnings it
 fails on."""
 
@@ -37,6 +38,22 @@ def test_workflow_runs_the_tier1_command():
                     '--workload "$w" --seconds 1 | tail -n 1 | python3 -c '
                     "'import json, sys; sys.exit(json.load(sys.stdin)"
                     '["correct"] is not True)\' || exit 1; done']
+
+
+def test_numpy_floor_job_runs_tier1_on_the_oldest_numpy_and_python():
+    doc = yaml.safe_load(WORKFLOW.read_text(encoding="utf-8"))
+    job = doc["jobs"]["numpy-floor"]
+    text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    numpy = re.search(r'"numpy>=([\d.]+)"', text).group(1)
+    python = re.search(r'requires-python = ">=([\d.]+)"', text).group(1)
+    setup = next(step for step in job["steps"]
+                 if step.get("uses", "").startswith("actions/setup-python"))
+    assert setup["with"]["python-version"] == python
+    runs = [step["run"] for step in job["steps"] if "run" in step]
+    tier1 = re.search(r"\*\*Tier-1 verify:\*\* `([^`]+)`",
+                      (ROOT / "ROADMAP.md").read_text(encoding="utf-8"))
+    assert runs == [f'python -m pip install ".[test]" "numpy=={numpy}.*"',
+                    tier1.group(1)]
 
 
 def test_test_extra_declares_the_test_tools():

@@ -19,6 +19,7 @@ from fairband import cli
 from fairband import (ConfigurationError, MembershipEvent, parse_scenario,
                       parse_scenario_text, run_scenario)
 from fairband.core import SUM_TOL, JobModel, PlatformSpec
+from fairband.floattext import VECTOR_MIN
 from fairband.cli import (CSV_HEADER, EXIT_INVARIANT, EXIT_IO, EXIT_OK,
                           EXIT_VALIDATION, _jsonable, main,
                           read_trajectory_csv, write_trajectory_csv)
@@ -71,6 +72,24 @@ def _row_by_row_csv(traj, path):
                 traj.time[r], traj.app[r], traj.service[r], traj.bandwidth[r],
                 traj.deadline[r], traj.response[r], traj.matching[r],
                 traj.fairness[r]))
+
+
+def _with_distinct(rng, rows, distinct, special):
+    """FLOAT_COLUMNS of `rows` rows that hold `distinct` distinct values
+    among them, `special` of which are zeros, subnormals, inf, nan or
+    magnitudes from 1e17, which the formatter prints through `%`."""
+    values = rng.standard_normal(distinct) * 10.0 ** rng.integers(
+        -20, 15, distinct)
+    if special:
+        few = [0.0, -0.0, math.inf, -math.inf, math.nan]
+        tiny = np.arange(1, (special - len(few)) // 2 + 1).view(np.float64)
+        huge = -(1e17 ** (1.0 + np.arange(special - len(few) - len(tiny))
+                          * 2.0 ** -20))
+        values[:special] = np.concatenate([few, -tiny, huge])
+    assert len(np.unique(values.view(np.int64))) == distinct
+    cells = np.concatenate([values, rng.choice(values, 7 * rows - distinct)])
+    rng.shuffle(cells)
+    return dict(zip(FLOAT_COLUMNS, cells.reshape(7, rows)))
 
 
 def _assert_writers_agree(traj, tmp_path):
@@ -482,15 +501,28 @@ class TestTrajectoryCsv:
             assert np.array_equal(got.view(np.int64), col.view(np.int64)), f
         assert back.app.dtype == object and list(back.app) == list(ids)
 
-    @pytest.mark.parametrize("rows", [0, 1, 1023, 1024, 1025, 2049])
-    def test_matches_row_by_row_writer(self, tmp_path, rows):
+    @pytest.mark.parametrize("rows, distinct, special", [
+        *(pytest.param(rows, None, 0, id=str(rows))
+          for rows in (0, 1, 1023, 1024, 1025, 2049)),
+        # one chunk whose seven columns hold this many distinct values, on
+        # either side of the formatter's switch to its vector path
+        pytest.param(1024, VECTOR_MIN - 1, 0, id="below-the-switch"),
+        pytest.param(1024, VECTOR_MIN, 0, id="at-the-switch"),
+        # and one where some of them are values only `%` prints
+        pytest.param(1024, 3000, 500, id="both-paths"),
+    ])
+    def test_matches_row_by_row_writer(self, tmp_path, rows, distinct,
+                                       special):
         rng = np.random.default_rng(rows)
-        # half the values come from a small pool, so chunks hold repeats
-        pool = rng.standard_normal(7) * 10.0 ** rng.integers(-5, 6, 7)
-        cols = {f: np.where(rng.random(rows) < 0.5,
-                            rng.choice(pool, rows),
-                            rng.standard_normal(rows) * 1e3)
-                for f in FLOAT_COLUMNS}
+        if distinct is None:
+            # half the values come from a small pool, so chunks hold repeats
+            pool = rng.standard_normal(7) * 10.0 ** rng.integers(-5, 6, 7)
+            cols = {f: np.where(rng.random(rows) < 0.5,
+                                rng.choice(pool, rows),
+                                rng.standard_normal(rows) * 1e3)
+                    for f in FLOAT_COLUMNS}
+        else:
+            cols = _with_distinct(rng, rows, distinct, special)
         ids = rng.choice(np.array(["a", "b", "c#"], dtype=object), rows)
         path = _assert_writers_agree(Trajectory(app=ids, **cols), tmp_path)
         if rows == 0:
@@ -738,6 +770,34 @@ apps:
         assert code == EXIT_INVARIANT
         assert re.search(r"invariant breach: step 0: .*app ctl has nan",
                          capsys.readouterr().err)
+
+    def test_breach_names_the_app_whose_matching_is_not_finite(
+            self, tmp_path, capsys):
+        # as above with syn listed first: syn's share is the first out of
+        # the box, but ctl's overflowing deadline is what made it nan
+        cfg = tmp_path / "s.yaml"
+        cfg.write_text("""
+name: overflow
+rm_period: 1.0
+horizon: 20.0
+platform: {cores: 1, step: 0.05}
+apps:
+  - id: syn
+    weight: 1.0
+    min_service: 0.0
+    initial_service: 10.0
+    model: {kind: synthetic, a: 20.0, b: 200.0, deadline: 1000.0}
+  - id: ctl
+    weight: 1.0
+    min_service: 1.0e-9
+    initial_service: 1.0e-9
+    model: {kind: control, alpha: 1.0e300, beta: 1.0}
+""")
+        code = main(["run", str(cfg), "--out", str(tmp_path / "out")])
+        assert code == EXIT_INVARIANT
+        assert re.search(r"invariant breach: step 0: .*app syn has nan.*; "
+                         r"app ctl's matching at this instant is nan$",
+                         capsys.readouterr().err.strip())
 
     def test_run_io_failure(self, tmp_path):
         blocker = tmp_path / "file"
