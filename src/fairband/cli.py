@@ -34,9 +34,10 @@ CSV_HEADER = ",".join(("time", "app") + VALUES)
 # one record per CSV row; the app id is the only non-float field
 _CSV_ROW = np.dtype([(name, object if name == "app" else float)
                      for name in CSV_HEADER.split(",")])
-# rows formatted per write: the strings of one chunk are all the writer
+# rows formatted per write: the bytes of one chunk are all the writer
 # holds, where a whole-file join grows the process by the file's size
 _CSV_CHUNK = 1024
+_COMMA, _NEWLINE = (np.uint8(ord(c)) for c in ",\n")
 
 # run_bundle records the CSV's sha256 here, as the line `sha256sum`
 # prints, so `sha256sum -c` checks it
@@ -51,42 +52,108 @@ EXIT_INVARIANT = 3
 EXIT_IO = 4
 
 
-def _format_distinct(columns: List[np.ndarray]) -> List[List[str]]:
-    """`%.17g` text of float64 columns of one length, formatting each
-    distinct bit pattern among them once (so -0.0 keeps its sign next to
-    0.0)."""
-    bits, inverse = np.unique(np.stack(columns).view(np.int64).ravel(),
-                              return_inverse=True)
-    text = format_g17(bits.view(np.float64))
-    return text[inverse].reshape(len(columns), -1).tolist()
-
-
 def write_trajectory_csv(traj: Trajectory, path: Path) -> str:
     """One row per trajectory row, every float as `%.17g`, which
     read_trajectory_csv parses back bit for bit. Returns the sha256 hex
-    digest of the bytes written."""
+    digest of the bytes written. An app id must be a printable str
+    without ',', as ApplicationSpec requires, or ConfigurationError
+    names it and no file is left at `path`."""
     digest = hashlib.sha256()
-    with open(path, "wb") as fh:
-        for text in _csv_text(traj):
-            data = text.encode("utf-8")
-            digest.update(data)
-            fh.write(data)
+    try:
+        with open(path, "wb") as fh:
+            for data in _csv_bytes(traj):
+                digest.update(data)
+                fh.write(data)
+    except ConfigurationError:
+        # the rows before the refused id would read as a whole table
+        Path(path).unlink()
+        raise
     return digest.hexdigest()
 
 
-def _csv_text(traj: Trajectory) -> Iterator[str]:
-    """The header line, then the lines of each _CSV_CHUNK rows."""
+def _csv_bytes(traj: Trajectory) -> Iterator[bytes]:
+    """The header line, then the bytes of each _CSV_CHUNK rows."""
     # a signalling nan in a narrower float column widens to nan, which `%`
     # prints as such, without an invalid-cast warning
     with np.errstate(invalid="ignore"):
         floats = [np.ascontiguousarray(getattr(traj, name), dtype=np.float64)
                   for name in _CSV_ROW.names if name != "app"]
-    yield CSV_HEADER + "\n"
+    yield (CSV_HEADER + "\n").encode("ascii")
+    ids = _AppIds()
     for lo in range(0, len(traj), _CSV_CHUNK):
         rows = slice(lo, lo + _CSV_CHUNK)
-        time, *values = _format_distinct([col[rows] for col in floats])
-        cells = [time, traj.app[rows].tolist(), *values]
-        yield "\n".join(map(",".join, zip(*cells))) + "\n"
+        yield _chunk_bytes([col[rows] for col in floats],
+                           ids.codes(traj.app[rows]), ids.utf8)
+
+
+class _AppIds(dict):
+    """Each app id met so far, to its place in `utf8`, which holds its
+    UTF-8 once the id has been checked."""
+
+    def __init__(self):
+        super().__init__()
+        self.utf8: List[bytes] = []
+
+    def __missing__(self, app) -> int:
+        # the rule ApplicationSpec applies: a row holds an id unquoted, and
+        # a 0 byte would drop out with a row's padding
+        if not isinstance(app, str) or "," in app or not app.isprintable():
+            raise ConfigurationError(
+                f"app id {app!r} cannot be written to a trajectory CSV: "
+                f"it must be a printable string without ','")
+        self[app] = len(self.utf8)
+        self.utf8.append(app.encode("utf-8"))
+        return self[app]
+
+    def codes(self, apps: np.ndarray) -> np.ndarray:
+        """The place of each id in `apps`."""
+        try:
+            return np.fromiter(map(self.__getitem__, apps), np.intp,
+                               len(apps))
+        except TypeError:
+            # an id that cannot be hashed, so is not a str
+            for app in apps:
+                if not isinstance(app, str):
+                    self.__missing__(app)
+            raise
+
+
+def _chunk_bytes(floats: List[np.ndarray], codes: np.ndarray,
+                 utf8: List[bytes]) -> bytes:
+    """The CSV rows of one chunk from its float columns and each row's app
+    id as a place in `utf8`.
+
+    A table holds the text of each distinct float bit pattern in the
+    chunk (so -0.0 keeps its sign next to 0.0), then each id the chunk
+    uses, one zero-padded row apiece whose last byte ends a field. Each
+    CSV row gathers its eight fields from it; the 0 bytes drop out."""
+    m = len(codes)
+    bits, inverse = np.unique(np.stack(floats).view(np.int64).ravel(),
+                              return_inverse=True)
+    text = format_g17(bits.view(np.float64))
+    # the ids the chunk uses, in order of place, and each one's table row
+    row = np.zeros(len(utf8), np.intp)
+    row[codes] = 1
+    used = np.flatnonzero(row)
+    row[used] = np.arange(len(text), len(text) + len(used))
+    ids = np.array([utf8[c] for c in used])             # S<longest id>
+    # no field needs the columns past the last one any value prints in
+    cols = np.flatnonzero(text[:, :-1].any(axis=0))[-1] + 1
+    width = max(cols, ids.itemsize) + 1
+    table = np.zeros((len(text) + len(ids), width), np.uint8)
+    table[:len(text), :cols] = text[:, :cols]
+    table[len(text):, :ids.itemsize] = ids.view(np.uint8).reshape(
+        len(ids), -1)
+    # each field ends in a ',', but the last of a row, a float, in a newline
+    table[:, -1] = _COMMA
+    fields = np.empty((m, len(_CSV_ROW)), np.intp)
+    fields[:, 0] = inverse[:m]
+    fields[:, 1] = row[codes]
+    fields[:, 2:] = inverse[m:].reshape(-1, m).T
+    cells = table.view(f"V{width}").ravel().take(fields).view(np.uint8) \
+        .reshape(m, -1, width)
+    cells[:, -1, -1] = _NEWLINE
+    return cells.tobytes().translate(None, b"\0")
 
 
 def read_trajectory_csv(path: Path, fields: Sequence[str] = VALUES

@@ -11,11 +11,13 @@ lies past the half-unit, as 5^a is odd. numpy forms m·G from products of
 case of Adams, "Ryū revisited: printf floating point conversion" (OOPSLA
 2019). A product from 10^17 on means E = e0 + 1, and one more division by
 10; a rounding carry to 10^17 raises E by one as well. The digits are laid
-out in `%g`'s notation as the columns of a byte matrix, with a 0 byte where
-a value prints nothing, and deleting the 0 bytes turns it into text.
+out in `%g`'s notation as the rows of a byte matrix, one per value, with a
+0 byte where a value prints nothing, so deleting the 0 bytes turns it into
+text.
 
 Zeros, subnormals, inf, nan and values outside that range, and calls with
-fewer than VECTOR_MIN values, print through `%` itself.
+fewer than VECTOR_MIN values, print through `%` itself, each text
+left-aligned in a row of the same shape.
 
 numpy >= 1.24 promotes uint64 mixed with int64 to float64, which would
 still print plausible digits: every integer array and constant below is
@@ -29,8 +31,13 @@ from typing import NamedTuple, Tuple
 
 import numpy as np
 
-# below this many values `%` prints a call's values faster than the vector
-# path's ~60 numpy calls, whose fixed cost does not depend on the count
+# below this many values a call prints through `%`. The vector path costs
+# ~100 µs a call plus ~0.13 µs a value; `%` costs ~0.55 µs a value of 17
+# digits, so it loses from ~250 of those, but ~0.25 µs a value of a settled
+# run, whose texts are short, and loses only from ~800 of those (a
+# 356-value async3 chunk: 88 against 141 µs). The full async3 preset,
+# whose chunks hold ~360 or over 5,000 values, writes ~20% faster at
+# 1,000 than at 300
 VECTOR_MIN = 1000
 
 _U = np.uint64
@@ -47,10 +54,15 @@ _32, _52, _57, _63 = (_U(s) for s in (32, 52, 57, 63))
 _TEMPLATE = np.frombuffer(b"-0.000" + b"0" * 18 + b"e-00\n", np.uint8)
 _BODY = slice(6, 24)
 _EXP = slice(24, 28)
-_J18 = np.arange(18)
+_J18 = np.arange(18, dtype=np.uint8)
 _J17 = np.arange(17, dtype=np.uint8)
 _J3 = np.arange(1, 4)
-_MINUS, _ZERO, _POINT = (np.uint8(ord(c)) for c in "-0.")
+# the columns of format_g17's rows
+WIDTH = len(_TEMPLATE)
+# `%` left-aligns each text in a row's other columns, padding it with
+# spaces, which no float's text holds, and then 0 bytes
+_PADDED = f"%-{WIDTH - 1}.17g\n"
+_MINUS, _ZERO, _POINT, _SPACE = (np.uint8(ord(c)) for c in "-0. ")
 
 
 class _Tables(NamedTuple):
@@ -87,33 +99,28 @@ def _tables() -> _Tables:
 
 
 def format_g17(values: np.ndarray) -> np.ndarray:
-    """`"%.17g" % x` of each float64 in `values`, as an object array."""
+    """`"%.17g" % x` of each float64 in `values`, as the rows of a uint8
+    matrix of WIDTH columns: the text's bytes with a 0 byte wherever
+    nothing prints, and a newline in the last column, so deleting the 0
+    bytes leaves one line per value."""
     bits = np.ascontiguousarray(values, np.float64).view(np.uint64)
     if len(bits) < VECTOR_MIN:
         return _printf(bits)
     binade = ((bits >> _52) & _BIASED).astype(np.intp)
-    vector = _tables().covered[binade]
-    if vector.all():
-        return _vector(bits, binade)
-    text = np.empty(len(bits), object)
-    text[~vector] = _printf(bits[~vector])
-    text[vector] = _vector(bits[vector], binade[vector])
+    text = _layout(bits, *_decimal(bits, binade)).T
+    # the tables are 0 for the binades they do not serve, so those values
+    # come out as harmless wrong digits, which `%` then overwrites
+    rest = np.flatnonzero(~_tables().covered[binade])
+    if len(rest):
+        text[rest] = _printf(bits[rest])
     return text
 
 
 def _printf(bits: np.ndarray) -> np.ndarray:
-    return _lines("%.17g\n" * len(bits) % tuple(bits.view(np.float64).tolist()))
-
-
-def _lines(text: str) -> np.ndarray:
-    """The lines of `text`, each ended by a newline, as an object array."""
-    return np.array(text.split("\n"), dtype=object)[:-1]
-
-
-def _vector(bits: np.ndarray, binade: np.ndarray) -> np.ndarray:
-    # one expression, so each copy of the text is freed once the next exists
-    return _lines(_layout(bits, *_decimal(bits, binade)).T.tobytes()
-                  .translate(None, b"\0").decode("ascii"))
+    text = _PADDED * len(bits) % tuple(bits.view(np.float64).tolist())
+    rows = np.frombuffer(bytearray(text, "ascii"), np.uint8).reshape(-1, WIDTH)
+    rows[rows == _SPACE] = 0
+    return rows
 
 
 def _decimal(bits: np.ndarray, binade: np.ndarray
@@ -206,7 +213,8 @@ def _layout(bits: np.ndarray, digits: np.ndarray, e: np.ndarray
     # a digit prints after it; below 1 it precedes the digits
     point = np.where(scientific, 0, e)
     fraction = (last > point) & ~below_one
-    dot = np.where(fraction, point + 1, 18)
+    # positions below 19, compared with _J18 as bytes
+    dot = np.where(fraction, point + 1, 18).astype(np.uint8)
     chars = np.empty((len(_TEMPLATE), len(e)), np.uint8)
     chars[0] = _MINUS * (bits >> _63 == _ONE)
     chars[1:3] = _TEMPLATE[1:3, None] * below_one
@@ -222,6 +230,8 @@ def _layout(bits: np.ndarray, digits: np.ndarray, e: np.ndarray
     body = chars[_BODY]
     np.copyto(body, digits[1:])
     np.copyto(body, digits[:-1], where=_J18[:, None] > dot)
-    np.putmask(body, _J18[:, None] == dot, _POINT)
-    body *= (_J18[:, None] <= np.maximum(last, e) + fraction).view(np.uint8)
+    at = np.flatnonzero(fraction)
+    body[dot[at], at] = _POINT
+    end = (np.maximum(last, e) + fraction).astype(np.uint8)
+    body *= (_J18[:, None] <= end).view(np.uint8)
     return chars

@@ -2,8 +2,9 @@
 with the test extra pyproject.toml declares, then the installed package's
 console script and `python -m fairband` with RuntimeWarnings as errors
 (checking the trajectory against its sha256 sidecar), then
-each bench workload's own output checks. A second job runs tier-1 on the
-oldest numpy and Python that pyproject.toml admits. CI itself
+each bench workload's own output checks. A second job runs tier-1 and
+the console script on the oldest numpy and Python that pyproject.toml
+admits. CI itself
 cannot run offline, so this checks what it would run, and the warnings it
 fails on."""
 
@@ -16,6 +17,10 @@ import yaml
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKFLOW = ROOT / ".github" / "workflows" / "tier1.yml"
+# the full async3 preset, written, checked against its sidecar, read back
+CONSOLE_SCRIPT = ("fairband run async3 --out ci-out && "
+                  "(cd ci-out && sha256sum -c trajectory.csv.sha256) && "
+                  "python -m fairband compare ci-out ci-out")
 
 
 def test_workflow_runs_the_tier1_command():
@@ -31,9 +36,7 @@ def test_workflow_runs_the_tier1_command():
     tier1 = re.search(r"\*\*Tier-1 verify:\*\* `([^`]+)`",
                       (ROOT / "ROADMAP.md").read_text(encoding="utf-8"))
     assert runs == ['python -m pip install ".[test]"', tier1.group(1),
-                    "fairband run async3 --out ci-out && "
-                    "(cd ci-out && sha256sum -c trajectory.csv.sha256) && "
-                    "python -m fairband compare ci-out ci-out",
+                    CONSOLE_SCRIPT,
                     "for w in async3 wide churn; do python3 bench/run.py "
                     '--workload "$w" --seconds 1 | tail -n 1 | python3 -c '
                     "'import json, sys; sys.exit(json.load(sys.stdin)"
@@ -52,8 +55,11 @@ def test_numpy_floor_job_runs_tier1_on_the_oldest_numpy_and_python():
     runs = [step["run"] for step in job["steps"] if "run" in step]
     tier1 = re.search(r"\*\*Tier-1 verify:\*\* `([^`]+)`",
                       (ROOT / "ROADMAP.md").read_text(encoding="utf-8"))
+    script = next(step for step in job["steps"]
+                  if step.get("name") == "Run the installed console script")
+    assert script["env"] == {"PYTHONWARNINGS": "error::RuntimeWarning"}
     assert runs == [f'python -m pip install ".[test]" "numpy=={numpy}.*"',
-                    tier1.group(1)]
+                    tier1.group(1), CONSOLE_SCRIPT]
 
 
 def test_test_extra_declares_the_test_tools():

@@ -4,14 +4,19 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from fairband import floattext
-from fairband.floattext import VECTOR_MIN, format_g17
+from fairband.floattext import VECTOR_MIN, WIDTH, format_g17
 
 
 def _assert_prints_as_printf(values):
     got = format_g17(values)
+    # one row per value, ended by a newline in its last column, so that
+    # each row's bytes without its 0 bytes are that value's line
+    assert got.dtype == np.uint8 and got.shape == (len(values), WIDTH)
+    assert (got[:, -1] == ord("\n")).all()
+    text = got[got != 0].tobytes().decode("ascii")
     want = "%.17g\n" * len(values) % tuple(values.tolist())
-    if "\n".join(got) + "\n" != want:
-        bad = [(x, g, w) for x, g, w in zip(values.tolist(), got,
+    if text != want:
+        bad = [(x, g, w) for x, g, w in zip(values.tolist(), text.split("\n"),
                                             want.split("\n")) if g != w]
         raise AssertionError(f"{len(bad)} differ, first (x, got, want): "
                              f"{bad[:5]}")

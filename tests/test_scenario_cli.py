@@ -104,10 +104,18 @@ def _assert_writers_agree(traj, tmp_path):
 CSV_POOL = np.array([-0.0, 0.0, math.inf, -math.inf, math.nan, 5e-324,
                      1.0 / 3.0, 0.1])
 # printable text without ',', what an app id may be, often with a
-# comment, template or non-ASCII character or a space
-CSV_IDS = st.text(st.sampled_from("#%s é") |
-                  st.characters(blacklist_characters=","), max_size=4) \
+# comment, template or non-ASCII character or a space: up to 4 characters,
+# or 29 to 40, past the 29 bytes of a float field (hypothesis draws short
+# text, so a longer cap alone drew no id over 20 bytes in 300 draws)
+_ID_CHARS = st.sampled_from("#%s é") | st.characters(
+    blacklist_categories=("Cc", "Cf", "Cs", "Co", "Cn", "Zl", "Zp", "Zs"),
+    blacklist_characters=",")
+CSV_IDS = (st.text(_ID_CHARS, max_size=4) |
+           st.text(_ID_CHARS, min_size=29, max_size=40)) \
     .filter(str.isprintable)
+SHORT_IDS = ("a", "b", "c#")
+# an id of 40 UTF-8 bytes, wider than a float field
+WIDE_ID = "\u00e9" * 17 + "\u2192\u221e"
 
 
 @st.composite
@@ -501,18 +509,22 @@ class TestTrajectoryCsv:
             assert np.array_equal(got.view(np.int64), col.view(np.int64)), f
         assert back.app.dtype == object and list(back.app) == list(ids)
 
-    @pytest.mark.parametrize("rows, distinct, special", [
-        *(pytest.param(rows, None, 0, id=str(rows))
+    @pytest.mark.parametrize("rows, distinct, special, names", [
+        *(pytest.param(rows, None, 0, SHORT_IDS, id=str(rows))
           for rows in (0, 1, 1023, 1024, 1025, 2049)),
         # one chunk whose seven columns hold this many distinct values, on
         # either side of the formatter's switch to its vector path
-        pytest.param(1024, VECTOR_MIN - 1, 0, id="below-the-switch"),
-        pytest.param(1024, VECTOR_MIN, 0, id="at-the-switch"),
+        pytest.param(1024, VECTOR_MIN - 1, 0, SHORT_IDS,
+                     id="below-the-switch"),
+        pytest.param(1024, VECTOR_MIN, 0, SHORT_IDS, id="at-the-switch"),
         # and one where some of them are values only `%` prints
-        pytest.param(1024, 3000, 500, id="both-paths"),
+        pytest.param(1024, 3000, 500, SHORT_IDS, id="both-paths"),
+        # an id wider than a float field, in the chunks on either side of
+        # the first edge; this seed's third chunk, 5 rows, lacks it
+        pytest.param(2053, None, 0, ("a", WIDE_ID, "c#"), id="wide-id"),
     ])
     def test_matches_row_by_row_writer(self, tmp_path, rows, distinct,
-                                       special):
+                                       special, names):
         rng = np.random.default_rng(rows)
         if distinct is None:
             # half the values come from a small pool, so chunks hold repeats
@@ -523,7 +535,7 @@ class TestTrajectoryCsv:
                     for f in FLOAT_COLUMNS}
         else:
             cols = _with_distinct(rng, rows, distinct, special)
-        ids = rng.choice(np.array(["a", "b", "c#"], dtype=object), rows)
+        ids = rng.choice(np.array(names, dtype=object), rows)
         path = _assert_writers_agree(Trajectory(app=ids, **cols), tmp_path)
         if rows == 0:
             assert path.read_text() == CSV_HEADER + "\n"
@@ -580,6 +592,22 @@ class TestTrajectoryCsv:
         # the file's text is ~15 MB; a whole-file join would hold all of it
         assert path.stat().st_size > 10 * 2**20
         assert peak < 3 * 2**20
+
+    # a ',' or a line break would change the row's field count, and a 0
+    # byte would drop out with a row's padding; an id that is not a str,
+    # hashable or not, has no text. Each is refused in the second chunk,
+    # by name
+    @pytest.mark.parametrize("bad", ["a,b", "a\nb", "a\0b", 7, ["a"]])
+    def test_writer_refuses_ids_a_row_cannot_hold(self, tmp_path, bad):
+        ids = np.array(["x"] * 1511, dtype=object)
+        ids[1500] = bad
+        traj = Trajectory(app=ids, **{f: np.zeros(len(ids))
+                                      for f in FLOAT_COLUMNS})
+        path = tmp_path / "t.csv"
+        with pytest.raises(ConfigurationError, match=re.escape(repr(bad))):
+            write_trajectory_csv(traj, path)
+        # the first chunk's rows are not left behind as a shorter table
+        assert not path.exists()
 
     @pytest.mark.parametrize("body, what", [
         ("", "no data rows"),
